@@ -48,7 +48,7 @@ impl CrossbarConfig {
     /// (`HardwareConfig::with_variation`) and the packed stochastic
     /// engine's flip tables all go through it, which is what keeps the
     /// scalar and packed engines evaluating the identical effective law
-    /// (and therefore seed-matched) under any variation.
+    /// (and therefore flip-for-flip identical) under any variation.
     #[must_use]
     pub fn with_variation(&self, vm: &aqfp_device::VariationModel) -> Self {
         Self {
@@ -195,10 +195,8 @@ impl Crossbar {
     /// without touching the stored weights or the programmed thresholds —
     /// the seam device-parameter *variation* flows through: a drifted die
     /// keeps its calibration-time programming but senses and merges
-    /// currents under the new conditions. A zero gray-zone width is only
-    /// usable by the deterministic entry points ([`Crossbar::compute_ideal`],
-    /// [`Crossbar::raw_sum`]); the stochastic ones reject it when they
-    /// build their neuron law.
+    /// currents under the new conditions. A zero gray-zone width turns every
+    /// neuron into a noiseless comparator (see [`Crossbar::neuron`]).
     pub fn set_config(&mut self, config: CrossbarConfig) {
         self.config = config;
     }
@@ -233,12 +231,19 @@ impl Crossbar {
         self.cells[row * self.cols + col].weight()
     }
 
-    /// The neuron buffer of `col`.
+    /// The neuron buffer of `col`: a noiseless comparator
+    /// ([`AqfpBuffer::ideal`]) at gray-zone width 0, the `ΔIin → 0` limit a
+    /// zero-scale variation drifts a die into.
     pub fn neuron(&self, col: usize) -> AqfpBuffer {
-        AqfpBuffer::new(BufferConfig {
-            threshold_ua: self.thresholds_ua[col],
-            grayzone_ua: self.config.grayzone_ua,
-        })
+        let threshold_ua = self.thresholds_ua[col];
+        if self.config.grayzone_ua > 0.0 {
+            AqfpBuffer::new(BufferConfig {
+                threshold_ua,
+                grayzone_ua: self.config.grayzone_ua,
+            })
+        } else {
+            AqfpBuffer::ideal(threshold_ua)
+        }
     }
 
     /// The integer XNOR-product sum of `col` (the latent pre-activation in

@@ -285,12 +285,16 @@ pub const BERNOULLI_ALWAYS: u64 = u64::MAX;
 /// saturated cases (NaN quantizes to never, like the `f64` comparison it
 /// replaces).
 ///
-/// The threshold is *exact*, not approximate: a 53-bit uniform draw `u`
-/// (one `next_u64() >> 11`) satisfies `u < ⌈p·2⁵³⌉` **iff**
-/// `u · 2⁻⁵³ < p`, which is precisely the `rng.gen::<f64>() < p` decision
-/// of the scalar stochastic datapath — both consume one `u64` draw per
-/// sample. This is what lets the packed stochastic deploy engine
-/// reproduce the scalar reference flip-for-flip from the same seed.
+/// The stochastic inference engines — scalar and packed alike — draw
+/// their observation windows from keyed counter streams
+/// ([`crate::CounterStream`]), which round this threshold to a byte-lane
+/// threshold `round(p·2⁸)` (realized probability within 2⁻⁹ of `p`). Both
+/// engines apply that one rounding at the same coordinates, which is what
+/// makes them flip for flip identical. The serial
+/// [`sample_bernoulli_words`] (probe synthesis) uses the threshold
+/// *exactly*: a 53-bit uniform draw `u` (one `next_u64() >> 11`)
+/// satisfies `u < ⌈p·2⁵³⌉` **iff** `u · 2⁻⁵³ < p`, precisely the
+/// `rng.gen::<f64>() < p` decision.
 pub fn bernoulli_threshold(p: f64) -> u64 {
     if p >= 1.0 {
         BERNOULLI_ALWAYS
@@ -344,9 +348,8 @@ pub fn sample_bernoulli_words<R: rand::RngCore + ?Sized>(
     }
 }
 
-/// Draws one packed word of up to 64 live Bernoulli bits — the shared
-/// inner loop of [`sample_bernoulli_words`] and
-/// [`sample_bernoulli_planes`]. Draw `t` decides bit `t`, in draw order;
+/// Draws one packed word of up to 64 live Bernoulli bits — the inner loop
+/// of [`sample_bernoulli_words`]. Draw `t` decides bit `t`, in draw order;
 /// the 4-way unroll only splits the bit-OR accumulation across
 /// independent registers (the RNG chain itself is inherently serial), so
 /// the draw sequence and decisions are untouched.
@@ -367,77 +370,6 @@ fn sample_window_word<R: rand::RngCore + ?Sized>(thr: u64, bits: usize, rng: &mu
         t += 1;
     }
     word
-}
-
-/// Samples up to 64 i.i.d. Bernoulli bits as one packed word mask — the
-/// single-word convenience form of [`sample_bernoulli_words`], used for
-/// observation windows that fit one `u64` (the common `L ≤ 64` case).
-///
-/// # Panics
-/// Panics if `len > 64`.
-pub fn sample_bernoulli_mask<R: rand::RngCore + ?Sized>(
-    threshold: u64,
-    len: usize,
-    rng: &mut R,
-) -> u64 {
-    assert!(len <= 64, "a word mask holds at most 64 lanes, got {len}");
-    let mut word = [0u64; 1];
-    sample_bernoulli_words(threshold, len, &mut word, rng);
-    word[0]
-}
-
-/// Samples a batch of Bernoulli bit windows — one per entry of
-/// `thresholds` — into caller-chosen word slots of `out`, consuming the
-/// RNG in batch order then bit order.
-///
-/// Window `i` (threshold `thresholds[i]`, `len` bits) lands at words
-/// `out[offsets[i] .. offsets[i] + ⌈len/64⌉]` with exactly the semantics
-/// of one [`sample_bernoulli_words`] call: tail bits cleared, sentinel
-/// thresholds filled constant **without consuming draws**, live
-/// thresholds consuming one draw per bit. The draw sequence — count and
-/// decisions — is therefore identical to looping [`sample_bernoulli_words`]
-/// over the batch; what the batch form buys is the plane-at-a-time loop
-/// structure of the packed stochastic engine: thresholds are gathered
-/// once in scalar draw order and all windows of an output pixel are
-/// filled in one pass, instead of re-entering the sampler per
-/// (tile, column) cell. The `offsets` indirection lets that pass scatter
-/// into cell-major stream storage while drawing in (group, tile, column)
-/// order.
-///
-/// # Panics
-/// Panics if `offsets` is shorter than `thresholds` or any window would
-/// write past `out`.
-pub fn sample_bernoulli_planes<R: rand::RngCore + ?Sized>(
-    thresholds: &[u64],
-    offsets: &[usize],
-    len: usize,
-    out: &mut [u64],
-    rng: &mut R,
-) {
-    let words = len.div_ceil(64);
-    assert!(
-        offsets.len() >= thresholds.len(),
-        "offset per window required"
-    );
-    let rem = len % 64;
-    for (&thr, &off) in thresholds.iter().zip(offsets) {
-        let slot = &mut out[off..off + words];
-        match thr {
-            BERNOULLI_NEVER => slot.fill(0),
-            BERNOULLI_ALWAYS => {
-                slot.fill(u64::MAX);
-                if rem > 0 {
-                    slot[words - 1] = (1u64 << rem) - 1;
-                }
-            }
-            thr => {
-                for (w, s) in slot.iter_mut().enumerate() {
-                    let bits = (len - w * 64).min(64);
-                    *s = sample_window_word(thr, bits, rng);
-                }
-            }
-        }
-    }
 }
 
 /// Packs a density-`p` pseudo-random probe input plane: `len` i.i.d.
@@ -1655,9 +1587,9 @@ mod tests {
     #[test]
     fn bernoulli_mask_matches_scalar_f64_draws() {
         use rand::{Rng as _, SeedableRng as _};
-        // The packed sampler must reproduce the scalar `gen::<f64>() < p`
-        // decision sequence draw-for-draw from the same seed — the
-        // property the packed stochastic deploy engine is built on.
+        // The serial word sampler must reproduce the scalar
+        // `gen::<f64>() < p` decision sequence draw-for-draw from the same
+        // seed — the exactness of the 53-bit threshold.
         for (seed, p, len) in [
             (1u64, 0.5f64, 64usize),
             (2, 0.123456789, 37),
@@ -1667,7 +1599,9 @@ mod tests {
         ] {
             let thr = bernoulli_threshold(p);
             let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mask = sample_bernoulli_mask(thr, len, &mut packed_rng);
+            let mut word = [0u64; 1];
+            sample_bernoulli_words(thr, len, &mut word, &mut packed_rng);
+            let mask = word[0];
             let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed);
             for t in 0..len {
                 let want = scalar_rng.gen::<f64>() < p;
@@ -1779,47 +1713,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bernoulli_planes_match_per_call_sampling() {
-        use rand::{Rng as _, SeedableRng as _};
-        // The batched scatter sampler must consume the RNG exactly like a
-        // loop of per-window calls — including draw-free sentinels — and
-        // land every window at its offset.
-        let thresholds = [
-            bernoulli_threshold(0.4),
-            BERNOULLI_NEVER,
-            bernoulli_threshold(0.9),
-            BERNOULLI_ALWAYS,
-            bernoulli_threshold(0.05),
-        ];
-        for window in [1usize, 31, 64, 70, 128] {
-            let words = window.div_ceil(64);
-            // Scatter out of draw order: window i lands at slot 4 - i.
-            let offsets: Vec<usize> = (0..thresholds.len())
-                .map(|i| (thresholds.len() - 1 - i) * words)
-                .collect();
-            let mut batched = vec![u64::MAX; thresholds.len() * words];
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            sample_bernoulli_planes(&thresholds, &offsets, window, &mut batched, &mut rng);
-            let mut reference = vec![u64::MAX; thresholds.len() * words];
-            let mut ref_rng = rand::rngs::StdRng::seed_from_u64(99);
-            for (i, &thr) in thresholds.iter().enumerate() {
-                sample_bernoulli_words(
-                    thr,
-                    window,
-                    &mut reference[offsets[i]..offsets[i] + words],
-                    &mut ref_rng,
-                );
-            }
-            assert_eq!(batched, reference, "window {window}");
-            assert_eq!(
-                rng.gen::<u64>(),
-                ref_rng.gen::<u64>(),
-                "draw counts diverged at window {window}"
-            );
         }
     }
 

@@ -1,17 +1,16 @@
-//! Counter-based (stateless, keyed) random-bit generation for the packed
-//! stochastic datapath.
+//! Counter-based (stateless, keyed) random-bit generation — the one
+//! Bernoulli sampler of the stochastic inference engines.
 //!
-//! The seed-matched samplers in [`bitplane`](crate::bitplane) consume a
-//! *serial* generator: every Bernoulli decision advances the shared
-//! xoshiro state, so draw `t + 1` cannot start before draw `t` retires —
-//! a ~1.5 ns/draw dependency chain that bounds the whole stochastic
-//! engine once everything around the draws is vectorized (see
-//! `docs/benchmarks.md`, "the RNG serial floor").
+//! A serial generator makes every decision advance shared state, so draw
+//! `t + 1` cannot start before draw `t` retires: a dependency chain that
+//! bounds any sampler built on it once everything around the draws is
+//! vectorized, and an evaluation order every consumer must replay to
+//! reproduce a result.
 //!
-//! This module provides the other operating mode: a **keyed counter
-//! stream** in the Philox/SplitMix tradition, where draw `t` of a stream
-//! is the *pure function* `mix(key + t · γ)` of the stream's key and the
-//! counter — no state, no chain. Two consequences:
+//! This module is the alternative: a **keyed counter stream** in the
+//! Philox/SplitMix tradition, where draw `t` of a stream is the *pure
+//! function* `mix(key + t · γ)` of the stream's key and the counter — no
+//! state, no chain. Two consequences:
 //!
 //! * **Parallelism** — all 64 bits of an observation window (and all
 //!   windows of a plane batch) are independent expressions; the inner
@@ -21,31 +20,34 @@
 //! * **Order-free reproducibility** — a draw is addressed by
 //!   *coordinates* (derived stream key, counter), not by how many draws
 //!   happened before it. Evaluating samples, pixels or trials in any
-//!   order, on any worker count, reproduces identical bits.
+//!   order, on any worker count, reproduces identical bits — which is
+//!   what lets the element-by-element scalar engine serve as the
+//!   bit-exact reference of the packed one: both address every window by
+//!   the same coordinates.
 //!
 //! Streams form a tree: [`CounterStream::from_seed`] roots a campaign,
 //! and [`CounterStream::derive`] splits off statistically independent
-//! child streams by index (sample → stage → pixel → cell in the packed
-//! stochastic engine), so every Bernoulli window is addressed by its full
-//! coordinate tuple. The per-draw output function is the SplitMix64
-//! finalizer over a Weyl sequence — exactly the generator SplitMix64
-//! iterates, evaluated at an arbitrary counter instead of sequentially —
-//! and key derivation uses a *different* finalizer (the 64-bit
-//! Murmur3/variant mix) so child keys never collide with draw outputs by
-//! construction of the same function.
+//! child streams by index (sample → stage → pixel in the stochastic
+//! engines; cell windows then sit side by side on the pixel stream's
+//! tape), so every Bernoulli window is addressed by its full coordinate
+//! tuple. The per-draw output function is the SplitMix64 finalizer over a
+//! Weyl sequence — exactly the generator SplitMix64 iterates, evaluated
+//! at an arbitrary counter instead of sequentially — and key derivation
+//! uses a *different* finalizer (the 64-bit Murmur3/variant mix) so child
+//! keys never collide with draw outputs by construction of the same
+//! function.
 //!
 //! Decisions consume the draw words eight Bernoulli bits at a time: each
 //! 64-bit draw is split into eight independent byte-wide uniform lanes,
 //! and bit `g` of a stream's decision tape compares lane `g mod 8` of
 //! draw `⌊g/8⌋` against the threshold rounded to 8 bits (see
 //! [`bernoulli_threshold`](crate::bitplane::bernoulli_threshold) for the
-//! 53-bit serial law it approximates). The seed-matched oracle must pay
-//! one full draw per bit to stay aligned with the scalar engine; counter
-//! mode owes nobody a draw sequence, so it amortizes one mix over eight
+//! 53-bit threshold it is rounded from). One mix is amortized over eight
 //! decisions at a probability quantization of 2⁻⁸ (bias ≤ 2⁻⁹ — the
 //! resolution of the byte-wide LFSR comparators real SC front-ends
-//! deploy, and well below the gray-zone model's own tolerances). The two
-//! modes are statistically interchangeable, not draw-for-draw identical.
+//! deploy, and well below the gray-zone model's own tolerances; the
+//! `word_fill_rate_tracks_probability` test checks the byte law against
+//! the `f64` law).
 //!
 //! Within one stream, a *batch* of observation windows (the cells of a
 //! packed matrix evaluation) lives on that flat decision tape: window `i`
@@ -199,8 +201,7 @@ impl CounterStream {
     ///
     /// The inner loop has **no loop-carried dependency** — each draw's
     /// mix is independent — so the multiplies pipeline (and vectorize
-    /// where the target has 64-bit vector multiply), unlike the serial
-    /// chain of `sample_window_word`.
+    /// where the target has 64-bit vector multiply).
     ///
     /// # Panics
     /// Panics if `bits > 64`.
@@ -262,7 +263,7 @@ impl CounterStream {
     /// 16-bit fields, add `256 - t8`, sum the `≥` carries at bit 8, fold
     /// with one multiply) — no per-lane extraction, no popcount. This is
     /// what the exact-APC accumulation actually consumes, so the packed
-    /// stochastic engine's counter mode can skip the stream buffer
+    /// stochastic engine can skip the stream buffer
     /// entirely: saturated cells contribute their constant for free and
     /// live cells are counted straight out of the generator.
     #[inline]
@@ -317,7 +318,7 @@ impl CounterStream {
     /// window `windows[i]` (threshold `thresholds[i]`, `len` bits) sits
     /// at tape position `windows[i] · window_stride(len)` — the same
     /// addressing as
-    /// [`sample_bernoulli_planes`](Self::sample_bernoulli_planes) — and
+    /// [`sample_bernoulli_windows`](Self::sample_bernoulli_windows) — and
     /// its would-be fill popcount lands in `out[i]`.
     ///
     /// This is the batch form of
@@ -331,7 +332,7 @@ impl CounterStream {
     /// dominant 16-bit-window shape runs as fixed 8-window blocks that
     /// the compiler turns into vector mixes (this is where the counter
     /// discipline's order freedom pays: eight windows' draws are eight
-    /// independent expressions, something the serial chain can never
+    /// independent expressions, something a serial chain can never
     /// offer).
     ///
     /// # Panics
@@ -417,11 +418,11 @@ impl CounterStream {
 
     /// Samples `len` i.i.d. Bernoulli bits into a packed word slice
     /// ([`crate::BitPlane`] bit order, tail bits cleared): bit `t` of the
-    /// window is decided by tape position `base + t` of this stream. The
-    /// counter-mode twin of
-    /// [`crate::bitplane::sample_bernoulli_words`] — same output layout
-    /// and sentinel semantics, but pure in `(key, base + t)` so words can
-    /// be filled independently and in any order.
+    /// window is decided by tape position `base + t` of this stream.
+    /// Sentinel thresholds fill constant without drawing. Pure in
+    /// `(key, base + t)`, so words can be filled independently and in any
+    /// order — the one-window form the scalar stochastic engine draws
+    /// each cell with.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `⌈len/64⌉` words.
@@ -451,19 +452,14 @@ impl CounterStream {
     /// [`sample_bernoulli_words`](Self::sample_bernoulli_words)
     /// semantics. The flat addressing costs no per-window key
     /// derivation: one batch of `n` live windows is `n · ⌈len/8⌉` mixes,
-    /// period.
-    ///
-    /// The counter-mode twin of
-    /// [`crate::bitplane::sample_bernoulli_planes`]: where the serial
-    /// batch must walk windows in scalar draw order to keep one RNG
-    /// aligned, here every `(window, bit)` is addressed by
-    /// `(key, i · stride + t)` — the iteration order is a free choice and
-    /// the result is identical under any schedule.
+    /// period. Every `(window, bit)` is addressed by
+    /// `(key, i · stride + t)`, so the iteration order is a free choice
+    /// and the result is identical under any schedule.
     ///
     /// # Panics
     /// Panics if `offsets` is shorter than `thresholds` or any window
     /// would write past `out`.
-    pub fn sample_bernoulli_planes(
+    pub fn sample_bernoulli_windows(
         &self,
         thresholds: &[u64],
         offsets: &[usize],
@@ -479,9 +475,7 @@ impl CounterStream {
         let stride = Self::window_stride(len);
         for (i, (&thr, &off)) in thresholds.iter().zip(offsets).enumerate() {
             let slot = &mut out[off..off + words];
-            // Sentinel windows fill constant without paying any draws —
-            // the counter twin of the serial batch's draw-free saturation
-            // fast path.
+            // Sentinel windows fill constant without paying any draws.
             match thr {
                 BERNOULLI_NEVER => slot.fill(0),
                 BERNOULLI_ALWAYS => {
@@ -638,7 +632,7 @@ mod tests {
         // Scattered, permuted offsets: batch order ≠ storage order.
         let offsets = [2 * words, 0, 4 * words, words, 3 * words];
         let mut batch = vec![0u64; 5 * words];
-        s.sample_bernoulli_planes(&thresholds, &offsets, len, &mut batch);
+        s.sample_bernoulli_windows(&thresholds, &offsets, len, &mut batch);
         let stride = CounterStream::window_stride(len);
         for (i, (&thr, &off)) in thresholds.iter().zip(&offsets).enumerate() {
             let mut solo = vec![0u64; words];

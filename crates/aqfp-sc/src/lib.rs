@@ -29,8 +29,8 @@
 //! * [`counter`] — the keyed counter-mode RNG ([`CounterStream`]): every
 //!   Bernoulli draw a pure function of (key, counter) coordinates, so
 //!   observation windows generate independently, in any order, on any
-//!   worker count — the parallel alternative to the serial seed-matched
-//!   samplers in [`bitplane`];
+//!   worker count — the one sampler of the scalar and packed stochastic
+//!   inference engines;
 //! * [`packed`] — bit-packed streams (64 bits/word) for simulating the
 //!   long-stream *pure-SC* baseline at tolerable cost;
 //! * [`mux`] — MUX-based scaled addition, the accumulator of pure-SC

@@ -6,7 +6,7 @@
 //! sample and writes the machine-readable baseline to `BENCH_deploy.json`
 //! at the workspace root (override with the `DEPLOY_BENCH_OUT` env var).
 
-use aqfp_device::{DeviceRng, SeedableRng};
+use aqfp_sc::CounterStream;
 use bnn_datasets::{digits::generate_digits, SynthConfig};
 use std::time::{Duration, Instant};
 use superbnn::config::HardwareConfig;
@@ -90,11 +90,11 @@ fn main() {
     // The stochastic engine for context (it simulates SC noise, so it is
     // far slower; time a slice and extrapolate).
     let stochastic = {
-        let mut rng = DeviceRng::seed_from_u64(7);
+        let root = CounterStream::from_seed(7);
         let slice = n.min(20);
         let start = Instant::now();
         for i in 0..slice {
-            std::hint::black_box(deployed.classify(&data.images, i, &mut rng));
+            std::hint::black_box(deployed.classify(&data.images, i, &root.derive(i as u64)));
         }
         slice as f64 / start.elapsed().as_secs_f64()
     };

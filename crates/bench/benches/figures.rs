@@ -153,9 +153,9 @@ fn bench_inference(c: &mut Criterion) {
     });
 
     let deployed = deploy(&spec, &model, &hw).unwrap();
-    let mut drng = DeviceRng::seed_from_u64(1);
+    let stream = aqfp_sc::CounterStream::from_seed(1);
     g.bench_function("deployed_classify_vgg_w4", |b| {
-        b.iter(|| black_box(deployed.classify(black_box(&images), 0, &mut drng)))
+        b.iter(|| black_box(deployed.classify(black_box(&images), 0, &stream)))
     });
     g.finish();
 

@@ -12,16 +12,12 @@
 //!    (one pixel per word step) vs `V256` (four), on a conv-shaped
 //!    geometry; outputs are asserted bit-identical between widths before
 //!    timing.
-//! 4. **Bernoulli window sampling** — per-cell
-//!    [`sample_bernoulli_words`] calls vs the plane-at-a-time
-//!    [`sample_bernoulli_planes`] batch, asserted draw-for-draw identical
-//!    (same seed ⇒ same stream words) before timing.
-//! 5. **Raw word generation** — the serial xoshiro chain
+//! 4. **Random bits** — raw word generation on the serial xoshiro chain
 //!    (`next_u64` after `next_u64`, one loop-carried dependency per
 //!    draw) vs the keyed [`CounterStream`] (each word a pure function of
-//!    its counter, no chain), plus the counter-mode Bernoulli batch fill
-//!    on the same mixed threshold table as kernel 4 — the serial RNG
-//!    floor the stochastic engine's counter mode removes.
+//!    its counter, no chain), plus the counter Bernoulli window fill the
+//!    stochastic engines sample with, on a mixed saturated/live
+//!    threshold table.
 //!
 //! The end-to-end benches (`deploy_throughput`, `deploy_conv_throughput`,
 //! `stochastic_throughput`) answer "how fast is the engine"; this one
@@ -30,10 +26,7 @@
 //! at the workspace root (override with `KERNEL_BENCH_OUT`).
 
 use aqfp_device::{DeviceRng, SeedableRng};
-use aqfp_sc::bitplane::{
-    bernoulli_threshold, count_ones_range, lane_counts_w, sample_bernoulli_planes,
-    sample_bernoulli_words,
-};
+use aqfp_sc::bitplane::{bernoulli_threshold, count_ones_range, lane_counts_w};
 use aqfp_sc::{CounterStream, PackedMatrix, Word, V256};
 use rand::RngCore;
 use std::time::{Duration, Instant};
@@ -145,49 +138,7 @@ fn main() {
         std::hint::black_box(matrix.forward_matrix_as::<V256>(&acts));
     });
 
-    // --- 4. Bernoulli window sampling: per-cell vs plane-at-a-time ------
-    // A stochastic-engine-shaped batch: 1024 cells, 32-cycle windows,
-    // mixed saturated/live thresholds like a real gray-zone table.
-    let window = 32usize;
-    let cells = 1024usize;
-    let thresholds: Vec<u64> = (0..cells)
-        .map(|i| match i % 5 {
-            0 => bernoulli_threshold(0.0),
-            1 => bernoulli_threshold(1.0),
-            _ => bernoulli_threshold(0.05 + 0.9 * (i % 17) as f64 / 17.0),
-        })
-        .collect();
-    let offsets: Vec<usize> = (0..cells).collect(); // one word per window
-    let mut per_call = vec![0u64; cells];
-    let mut batched = vec![0u64; cells];
-    // Draw-for-draw equivalence check between the two loop structures.
-    let mut rng_a = DeviceRng::seed_from_u64(7);
-    let mut rng_b = DeviceRng::seed_from_u64(7);
-    for (i, &thr) in thresholds.iter().enumerate() {
-        sample_bernoulli_words(thr, window, &mut per_call[i..i + 1], &mut rng_a);
-    }
-    sample_bernoulli_planes(&thresholds, &offsets, window, &mut batched, &mut rng_b);
-    assert_eq!(per_call, batched, "per-call/batched draw divergence");
-    assert_eq!(
-        rng_a.next_u64(),
-        rng_b.next_u64(),
-        "per-call/batched RNG consumption divergence"
-    );
-    let bern_bits = cells * window;
-    let mut rng_c = DeviceRng::seed_from_u64(11);
-    let bern_per_call = ops_per_second(bern_bits, || {
-        for (i, &thr) in thresholds.iter().enumerate() {
-            sample_bernoulli_words(thr, window, &mut per_call[i..i + 1], &mut rng_c);
-        }
-        std::hint::black_box(&per_call);
-    });
-    let mut rng_d = DeviceRng::seed_from_u64(11);
-    let bern_batched = ops_per_second(bern_bits, || {
-        sample_bernoulli_planes(&thresholds, &offsets, window, &mut batched, &mut rng_d);
-        std::hint::black_box(&batched);
-    });
-
-    // --- 5. Raw word generation: serial xoshiro chain vs counter stream -
+    // --- 4. Random bits: serial xoshiro chain vs counter stream --------
     // The xoshiro loop is one long dependency chain (draw t+1 needs the
     // state after draw t); the counter loop has no loop-carried state, so
     // independent draws pipeline/vectorize freely.
@@ -207,12 +158,23 @@ fn main() {
         }
         std::hint::black_box(&gen_buf);
     });
-    // And the counter-mode Bernoulli batch on the same threshold mix as
-    // kernel 4, so the serial vs counter window-fill rates are directly
-    // comparable.
+    // The counter Bernoulli window fill on a stochastic-engine-shaped
+    // batch: 1024 cells, 32-cycle windows, mixed saturated/live
+    // thresholds like a real gray-zone table.
+    let window = 32usize;
+    let cells = 1024usize;
+    let thresholds: Vec<u64> = (0..cells)
+        .map(|i| match i % 5 {
+            0 => bernoulli_threshold(0.0),
+            1 => bernoulli_threshold(1.0),
+            _ => bernoulli_threshold(0.05 + 0.9 * (i % 17) as f64 / 17.0),
+        })
+        .collect();
+    let offsets: Vec<usize> = (0..cells).collect(); // one word per window
+    let bern_bits = cells * window;
     let mut batched_ctr = vec![0u64; cells];
     let bern_ctr = ops_per_second(bern_bits, || {
-        stream.sample_bernoulli_planes(&thresholds, &offsets, window, &mut batched_ctr);
+        stream.sample_bernoulli_windows(&thresholds, &offsets, window, &mut batched_ctr);
         std::hint::black_box(&batched_ctr);
     });
 
@@ -234,21 +196,14 @@ fn main() {
         gemm_v256 / gemm_u64
     );
     println!(
-        "bernoulli windows (L={window}) : {:>8.1} Mbits/s (per-cell)  {:>8.1} Mbits/s (batched, {:.2}x)",
-        bern_per_call / 1e6,
-        bern_batched / 1e6,
-        bern_batched / bern_per_call
-    );
-    println!(
         "word generation         : {:>8.1} Mwords/s (xoshiro chain)  {:>8.1} Mwords/s (counter, {:.2}x)",
         xoshiro_words / 1e6,
         ctr_words / 1e6,
         ctr_words / xoshiro_words
     );
     println!(
-        "bernoulli counter (L={window}): {:>8.1} Mbits/s ({:.2}x over serial batched)",
-        bern_ctr / 1e6,
-        bern_ctr / bern_batched
+        "bernoulli counter (L={window}): {:>8.1} Mbits/s",
+        bern_ctr / 1e6
     );
 
     // Kernel timings are all single-threaded; the shared header records
@@ -261,9 +216,6 @@ fn main() {
          \"gemm_tile_u64_chan_evals_per_s\": {gemm_u64:.0},\n  \
          \"gemm_tile_v256_chan_evals_per_s\": {gemm_v256:.0},\n  \
          \"gemm_widths_bit_identical\": true,\n  \
-         \"bernoulli_per_call_bits_per_s\": {bern_per_call:.0},\n  \
-         \"bernoulli_batched_bits_per_s\": {bern_batched:.0},\n  \
-         \"bernoulli_draw_identical\": true,\n  \
          \"xoshiro_chain_words_per_s\": {xoshiro_words:.0},\n  \
          \"counter_stream_words_per_s\": {ctr_words:.0},\n  \
          \"bernoulli_counter_bits_per_s\": {bern_ctr:.0}\n}}\n",

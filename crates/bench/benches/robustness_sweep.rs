@@ -5,13 +5,11 @@
 //! Run with `cargo bench -p superbnn-bench --bench robustness_sweep`.
 //! Each workload is trained, deployed, and lowered **once** (reported as
 //! `train_seconds`); the timed figures are then pure sweep throughput for
-//! three campaign disciplines over the same packed model:
+//! two campaign disciplines over the same packed model:
 //!
 //! * `digital` — the gray-zone → 0 fault-only campaign (no SC noise);
-//! * `seed_matched` — the stochastic engine at a widened gray-zone,
-//!   drawing SC noise from the serial seed-matched oracle chain;
-//! * `counter` — the same stochastic campaign on keyed counter streams
-//!   (order-free draws, no serial RNG floor).
+//! * `counter` — the stochastic engine at a widened gray-zone, drawing SC
+//!   noise from keyed counter streams (order-free draws).
 //!
 //! Trials run clone-free: each worker patches faults into its one model
 //! through the undo journal and reverts them after evaluation. Besides
@@ -24,7 +22,6 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use superbnn::deploy::RngMode;
 use superbnn::experiments::{robustness_workload, ExperimentScale, RobustnessWorkload};
 use superbnn::robustness::{run_sweep, RobustnessReport, SweepConfig};
 
@@ -32,7 +29,7 @@ const RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 const TRIALS_PER_POINT: usize = 24; // 5 × 24 = 120 trials per campaign
 /// The stochastic campaigns widen the 0.4 µA operating gray-zone by this
 /// factor so a large share of comparator read-outs draw genuine SC noise —
-/// the regime where the RNG discipline dominates the sweep cost. 10× is
+/// the regime where sampling dominates the sweep cost. 10× is
 /// the strongest widening that still leaves the sweep scientifically
 /// readable on these 32×32-crossbar workloads: accuracy degrades visibly
 /// from the digital campaign yet stays well above chance, so the fault
@@ -85,22 +82,15 @@ fn main() {
         base.workers
     );
 
-    // The three campaign disciplines measured per workload: the digital
-    // fault-only limit, then the stochastic engine under both RNG modes.
-    let campaigns: [(&str, SweepConfig); 3] = [
+    // The two campaign disciplines measured per workload: the digital
+    // fault-only limit, then the stochastic engine.
+    let campaigns: [(&str, SweepConfig); 2] = [
         ("digital", base.clone()),
-        (
-            "seed_matched",
-            base.clone()
-                .with_grayzone_scales(&[GRAYZONE_SCALE])
-                .expect("scale is valid"),
-        ),
         (
             "counter",
             base.clone()
                 .with_grayzone_scales(&[GRAYZONE_SCALE])
-                .expect("scale is valid")
-                .with_rng_mode(RngMode::Counter),
+                .expect("scale is valid"),
         ),
     ];
 
@@ -119,8 +109,6 @@ fn main() {
         println!("setup (train + deploy + lower): {train_seconds:.1}s");
 
         let mut campaign_rows = String::new();
-        let mut counter_tps = 0.0f64;
-        let mut seed_matched_tps = 0.0f64;
         for (ci, (mode, cfg)) in campaigns.iter().enumerate() {
             let start = Instant::now();
             let report = run_sweep(&packed, &eval, cfg);
@@ -128,11 +116,6 @@ fn main() {
             let total = report.total_trials();
             assert!(total >= 100, "campaign must run at least 100 trials");
             let trials_per_s = total as f64 / secs;
-            match *mode {
-                "counter" => counter_tps = trials_per_s,
-                "seed_matched" => seed_matched_tps = trials_per_s,
-                _ => {}
-            }
             println!("--- rng_mode {mode} ---");
             for p in &report.points {
                 println!(
@@ -164,10 +147,6 @@ fn main() {
                 grid_json(&report),
             );
         }
-        println!(
-            "counter vs seed-matched: {:.2}x trials/s",
-            counter_tps / seed_matched_tps
-        );
         let sep = if wi + 1 < specs.len() { "," } else { "" };
         let _ = write!(
             workloads,

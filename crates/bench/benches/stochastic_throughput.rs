@@ -1,35 +1,28 @@
 //! Stochastic-engine throughput: the scalar SC-datapath reference vs the
-//! packed stochastic engine, at identical semantics (seed-matched flips),
-//! plus the packed engine in counter mode.
+//! packed stochastic engine, at identical semantics (the same flips).
 //!
 //! Run with `cargo bench -p superbnn-bench --bench stochastic_throughput`.
-//! Both reference engines simulate the *full* stochastic datapath —
-//! gray-zone comparator flips, `L`-cycle observation windows, APC
-//! accumulation — and consume the RNG draw-for-draw identically, so the
-//! same seed produces the same labels and scores on either engine
-//! (asserted on every sample before timing; also enforced by the
-//! seed-matched differential proptests in `tests/props.rs`). The packed
-//! engine gets its speed from popcounted tile sums, precomputed
-//! flip-probability tables and word-mask bitstreams instead of
+//! Both engines simulate the *full* stochastic datapath — gray-zone
+//! comparator flips, `L`-cycle observation windows, APC accumulation —
+//! and draw every observation window from the same keyed counter-stream
+//! coordinates, so the same seed produces the same labels and scores on
+//! either engine (asserted on every sample before timing; also enforced
+//! by the differential proptests in `tests/props.rs`). The packed engine
+//! gets its speed from popcounted tile sums, precomputed
+//! flip-probability tables and batched window counts instead of
 //! per-element loops, erf evaluations and `Vec<Bit>` streams.
-//!
-//! The third measurement switches the packed engine to
-//! [`RngMode::Counter`]: same datapath, same Bernoulli laws, but every
-//! observation window is a pure function of its coordinates instead of a
-//! link in the shared serial draw chain — the serial-RNG throughput floor
-//! removed (statistical equivalence enforced by the counter-mode tests in
-//! `superbnn::deploy::stochastic`).
 //!
 //! Besides printing the measurements it writes the machine-readable
 //! baseline to `BENCH_stochastic.json` at the workspace root (override
 //! with the `STOCHASTIC_BENCH_OUT` env var).
 
-use aqfp_device::{DeviceRng, SeedableRng, VariationModel};
+use aqfp_device::VariationModel;
+use aqfp_sc::CounterStream;
 use bnn_datasets::{digits, objects, SynthConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 use superbnn::config::HardwareConfig;
-use superbnn::deploy::{deploy, RngMode};
+use superbnn::deploy::deploy;
 use superbnn::spec::NetSpec;
 use superbnn::trainer::{TrainConfig, Trainer};
 
@@ -107,66 +100,41 @@ fn main() {
         let packed = deployed.to_packed();
         let tables = packed.stochastic_tables(&VariationModel::nominal());
 
-        // Identical semantics first: every sample, seed-matched, labels
-        // AND scores.
+        // Identical semantics first: every sample, same stream, labels AND
+        // scores.
         let n = w.data.len();
-        let mut scalar_rng = DeviceRng::seed_from_u64(7);
-        let mut packed_rng = DeviceRng::seed_from_u64(7);
+        let root = CounterStream::from_seed(7);
         for i in 0..n {
-            let want = deployed.classify(&w.data.images, i, &mut scalar_rng);
-            let got = packed.classify_stochastic(&tables, &w.data.images, i, &mut packed_rng);
+            let stream = root.derive(i as u64);
+            let want = deployed.classify(&w.data.images, i, &stream);
+            let got = packed.classify_stochastic_ctr(&tables, &w.data.images, i, &stream);
             assert_eq!(
                 got, want,
                 "packed/scalar stochastic divergence at sample {i}"
             );
         }
-        println!("seed-matched flips: ok ({n} samples, identical labels and scores)");
+        println!("scalar == packed flips: ok ({n} samples, identical labels and scores)");
 
         let timed = w.timed_samples.min(n);
         let scalar = samples_per_second(timed, |pass| {
-            let mut rng = DeviceRng::seed_from_u64(pass);
-            for i in 0..timed {
-                std::hint::black_box(deployed.classify(&w.data.images, i, &mut rng));
-            }
+            std::hint::black_box(deployed.accuracy(&w.data, pass, Some(timed)));
         });
         let packed_sps = samples_per_second(timed, |pass| {
-            let mut rng = DeviceRng::seed_from_u64(pass);
-            std::hint::black_box(packed.accuracy_stochastic(
-                &tables,
-                &w.data,
-                &mut rng,
-                Some(timed),
-            ));
-        });
-        // Counter mode: same packed datapath, windows drawn as pure
-        // functions of their coordinates — no serial chain between them.
-        let tables_ctr =
-            packed.stochastic_tables_mode(&VariationModel::nominal(), RngMode::Counter);
-        let counter_sps = samples_per_second(timed, |pass| {
             std::hint::black_box(packed.accuracy_stochastic_ctr(
-                &tables_ctr,
+                &tables,
                 &w.data,
                 pass,
                 Some(timed),
             ));
         });
         let speedup = packed_sps / scalar;
-        let ctr_speedup = counter_sps / packed_sps;
         println!("scalar stochastic engine : {scalar:>10.1} samples/s");
         println!(
             "packed stochastic engine : {packed_sps:>10.1} samples/s  ({speedup:.1}x, 1 thread)"
         );
-        println!(
-            "packed counter mode      : {counter_sps:>10.1} samples/s  \
-             ({ctr_speedup:.2}x over seed-matched)"
-        );
         if wi == 0 && speedup < 4.0 {
             println!("WARNING: packed stochastic speedup below the 4x target");
         }
-        assert!(
-            counter_sps > packed_sps,
-            "counter mode must beat the seed-matched serial chain ({counter_sps:.1} vs {packed_sps:.1})"
-        );
 
         let sep = if wi + 1 < workloads.len() { "," } else { "" };
         let _ = write!(
@@ -176,18 +144,14 @@ fn main() {
              \"verified_samples\": {n},\n      \"timed_samples\": {timed},\n      \
              \"scalar_stochastic_samples_per_s\": {scalar:.1},\n      \
              \"packed_stochastic_samples_per_s\": {packed_sps:.1},\n      \
-             \"counter_stochastic_samples_per_s\": {counter_sps:.1},\n      \
-             \"speedup_packed_1thread\": {speedup:.2},\n      \
-             \"speedup_counter_over_seed_matched\": {ctr_speedup:.2}\n    }}{sep}",
+             \"speedup_packed_1thread\": {speedup:.2}\n    }}{sep}",
             w.tag, hw.crossbar_rows, hw.crossbar_cols, hw.bitstream_len, hw.grayzone_ua,
         );
     }
 
-    // All engines here are timed single-threaded (the seed-matched paths
-    // are serial-RNG-bound, and counter mode is measured at the same
-    // worker count for a like-for-like comparison).
+    // Both engines are timed single-threaded, a like-for-like comparison.
     let json = format!(
-        "{{\n  {},\n  \"seed_matched_flips\": true,\n  \
+        "{{\n  {},\n  \"scalar_equals_packed\": true,\n  \
          \"workloads\": [{rows}\n  ]\n}}\n",
         superbnn_bench::baseline_header("stochastic_throughput", &[("measured_workers", 1)]),
     );

@@ -6,7 +6,8 @@ use aqfp_crossbar::array::Crossbar;
 use aqfp_crossbar::faults::{apply_stuck_cells, draw_faults, FaultModel};
 use aqfp_crossbar::tile::TilingPlan;
 use aqfp_device::Bit;
-use aqfp_sc::{AccumulationModule, Bitstream};
+use aqfp_sc::bitplane::bernoulli_threshold;
+use aqfp_sc::{AccumulationModule, BitPlane, Bitstream, CounterStream};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -201,45 +202,57 @@ impl TiledMatrix {
     /// stochastic datapath: crossbar observation windows → APC accumulation
     /// → comparator → (optional) inversion.
     ///
+    /// Cell `channel·k + tile` (`k` row tiles) draws its `L`-cycle window
+    /// from `stream` at tape position `cell · window_stride(L)` under the
+    /// byte-wide counter law
+    /// ([`CounterStream::sample_bernoulli_words`]) at the column's
+    /// gray-zone probability; a dead column reads its stuck constant. The
+    /// packed engine draws the identical windows
+    /// (`PackedTiledMatrix::forward_stochastic_ctr`), which makes this the
+    /// stochastic engines' bit-exact reference.
+    ///
     /// # Panics
     /// Panics if `input.len() != fan_in`.
-    pub fn forward<R: Rng + ?Sized>(&self, input: &[Bit], rng: &mut R) -> Vec<Bit> {
+    pub fn forward(&self, input: &[Bit], stream: &CounterStream) -> Vec<Bit> {
         assert_eq!(input.len(), self.fan_in, "input length mismatch");
-        let row_tiles = self.plan.row_tiles();
-        let acc = AccumulationModule::new(row_tiles, self.window).with_counter(self.counter);
+        let k = self.plan.row_tiles();
+        let acc = AccumulationModule::new(k, self.window).with_counter(self.counter);
+        let stride = CounterStream::window_stride(self.window);
         let mut out = vec![Bit::Zero; self.out];
 
-        // Group tiles by column group; plan tiles are emitted column-major
-        // (all row tiles of one column group consecutively).
+        // Plan tiles are emitted column-major (all row tiles of one column
+        // group consecutively).
         let mut tile_idx = 0;
         while tile_idx < self.tiles.len() {
             let col_start = self.plan.tiles[tile_idx].col_start;
             let cols = self.plan.tiles[tile_idx].cols;
-            // Collect the row-tile observation streams for this col group.
-            let mut group_streams: Vec<Vec<Vec<Bit>>> = Vec::with_capacity(row_tiles);
-            for r in 0..row_tiles {
-                let t = &self.plan.tiles[tile_idx + r];
-                let slice = &input[t.row_start..t.row_start + t.rows];
-                let mut streams = self.tiles[tile_idx + r]
-                    .observe(slice, self.window, rng)
-                    .expect("tile geometry is consistent");
-                for (c, stream) in streams.iter_mut().enumerate() {
-                    if let Some(&bit) = self.dead.get(&(tile_idx + r, c)) {
-                        stream.iter_mut().for_each(|b| *b = bit);
-                    }
-                }
-                group_streams.push(streams);
-            }
             for c in 0..cols {
                 let channel = col_start + c;
-                let streams: Vec<Bitstream> = group_streams
-                    .iter()
-                    .map(|per_tile| Bitstream::from_bits(per_tile[c].clone()))
+                let streams: Vec<Bitstream> = (0..k)
+                    .map(|r| {
+                        let idx = tile_idx + r;
+                        if let Some(&bit) = self.dead.get(&(idx, c)) {
+                            return Bitstream::from_bits(vec![bit; self.window]);
+                        }
+                        let t = &self.plan.tiles[idx];
+                        let p = self.tiles[idx]
+                            .column_probability(c, &input[t.row_start..t.row_start + t.rows])
+                            .expect("tile geometry is consistent");
+                        let cell = (channel * k + r) as u64;
+                        let mut words = vec![0u64; self.window.div_ceil(64)];
+                        stream.sample_bernoulli_words(
+                            bernoulli_threshold(p),
+                            cell * stride,
+                            self.window,
+                            &mut words,
+                        );
+                        Bitstream::from_bits(BitPlane::from_words(words, self.window).to_bits())
+                    })
                     .collect();
                 let bit = acc.binarize(&streams).expect("window lengths match");
                 out[channel] = if self.flips[channel] { bit.not() } else { bit };
             }
-            tile_idx += row_tiles;
+            tile_idx += k;
         }
         out
     }
@@ -436,8 +449,11 @@ impl DeployedConv {
         }
     }
 
-    /// Runs the cell on one binary feature map.
-    pub fn forward<R: Rng + ?Sized>(&self, input: &BitMap, rng: &mut R) -> BitMap {
+    /// Runs the cell on one binary feature map through the stochastic
+    /// datapath. `stream` is the cell's pipeline-stage stream: output pixel
+    /// `oy·ow + ox` (before pooling) draws its windows from
+    /// `stream.derive(pixel)` (see [`TiledMatrix::forward`]).
+    pub fn forward(&self, input: &BitMap, stream: &CounterStream) -> BitMap {
         assert_eq!(input.c, self.in_c, "channel mismatch");
         let oh = (input.h + 2 * self.pad - self.k) / self.stride + 1;
         let ow = (input.w + 2 * self.pad - self.k) / self.stride + 1;
@@ -446,7 +462,9 @@ impl DeployedConv {
         for oy in 0..oh {
             for ox in 0..ow {
                 let field = input.receptive_field(oy, ox, self.k, self.stride, self.pad);
-                let bits = self.matrix.forward(&field, rng);
+                let bits = self
+                    .matrix
+                    .forward(&field, &stream.derive((oy * ow + ox) as u64));
                 for (c, &b) in bits.iter().enumerate() {
                     out.set(c, oy, ox, b);
                 }
@@ -530,9 +548,11 @@ impl DeployedDense {
         &mut self.matrix
     }
 
-    /// Runs the cell on a flat binary vector (a `[F, 1, 1]` map).
-    pub fn forward<R: Rng + ?Sized>(&self, input: &BitMap, rng: &mut R) -> BitMap {
-        let bits = self.matrix.forward(input.bits(), rng);
+    /// Runs the cell on a flat binary vector (a `[F, 1, 1]` map) through
+    /// the stochastic datapath. `stream` is the cell's pipeline-stage
+    /// stream; its windows come from pixel `0` (`stream.derive(0)`).
+    pub fn forward(&self, input: &BitMap, stream: &CounterStream) -> BitMap {
+        let bits = self.matrix.forward(input.bits(), &stream.derive(0));
         BitMap::from_bits(bits.len(), 1, 1, bits)
     }
 
@@ -557,7 +577,6 @@ pub enum DeployedCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqfp_device::{DeviceRng, SeedableRng};
 
     fn hw_small() -> HardwareConfig {
         HardwareConfig {
@@ -583,13 +602,13 @@ mod tests {
             .collect();
         let m = TiledMatrix::new(&signs, fan_in, out, vec![0.0; 3], vec![false; 3], &hw);
         assert_eq!(m.crossbar_count(), 1);
-        let mut rng = DeviceRng::seed_from_u64(0);
+        let stream = CounterStream::from_seed(0);
         for pat in 0..128u32 {
             let input: Vec<Bit> = (0..fan_in)
                 .map(|i| Bit::from_bool((pat >> i) & 1 == 1))
                 .collect();
             let ideal = m.forward_ideal(&input);
-            let got = m.forward(&input, &mut rng);
+            let got = m.forward(&input, &stream);
             assert_eq!(got, ideal, "pattern {pat:b}");
         }
     }
@@ -614,15 +633,15 @@ mod tests {
         assert_eq!(m.forward_ideal(&input), vec![Bit::Zero]);
         // Deployed: tile bits (+1, −1) tie at the midpoint → '1' (ties
         // resolve up). The saturation flipped the decision.
-        let mut rng = DeviceRng::seed_from_u64(9);
-        assert_eq!(m.forward(&input, &mut rng), vec![Bit::One]);
+        let stream = CounterStream::from_seed(9);
+        assert_eq!(m.forward(&input, &stream), vec![Bit::One]);
     }
 
     #[test]
     fn digital_engine_matches_stochastic_in_deterministic_regime() {
-        // With a vanishing gray-zone the stochastic datapath is the digital
-        // engine plus RNG bookkeeping: every decision must agree away from
-        // exact ties (odd fan-in avoids them).
+        // With a vanishing gray-zone every observation window saturates, so
+        // the stochastic datapath is the digital engine: every decision must
+        // agree away from exact ties (odd fan-in avoids them).
         let hw = hw_small();
         let fan_in = 7;
         let out = 3;
@@ -630,14 +649,14 @@ mod tests {
             .map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
         let m = TiledMatrix::new(&signs, fan_in, out, vec![0.0; 3], vec![false; 3], &hw);
-        let mut rng = DeviceRng::seed_from_u64(12);
+        let stream = CounterStream::from_seed(12);
         for pat in 0..128u32 {
             let input: Vec<Bit> = (0..fan_in)
                 .map(|i| Bit::from_bool((pat >> i) & 1 == 1))
                 .collect();
             assert_eq!(
                 m.forward_digital(&input),
-                m.forward(&input, &mut rng),
+                m.forward(&input, &stream),
                 "pattern {pat:b}"
             );
         }
@@ -667,9 +686,9 @@ mod tests {
         let m_plain = TiledMatrix::new(&signs, 4, 1, vec![0.0], vec![false], &hw);
         let m_flip = TiledMatrix::new(&signs, 4, 1, vec![0.0], vec![true], &hw);
         let input = vec![Bit::One; 4]; // sum +4, clearly positive
-        let mut rng = DeviceRng::seed_from_u64(1);
-        assert_eq!(m_plain.forward(&input, &mut rng), vec![Bit::One]);
-        assert_eq!(m_flip.forward(&input, &mut rng), vec![Bit::Zero]);
+        let stream = CounterStream::from_seed(1);
+        assert_eq!(m_plain.forward(&input, &stream), vec![Bit::One]);
+        assert_eq!(m_flip.forward(&input, &stream), vec![Bit::Zero]);
     }
 
     #[test]
@@ -678,8 +697,8 @@ mod tests {
         let signs = vec![1.0f32; 4];
         // Threshold above +4: even an all-ones input reads '0'.
         let m = TiledMatrix::new(&signs, 4, 1, vec![5.0], vec![false], &hw);
-        let mut rng = DeviceRng::seed_from_u64(2);
-        assert_eq!(m.forward(&[Bit::One; 4], &mut rng), vec![Bit::Zero]);
+        let stream = CounterStream::from_seed(2);
+        assert_eq!(m.forward(&[Bit::One; 4], &stream), vec![Bit::Zero]);
     }
 
     #[test]
@@ -690,8 +709,8 @@ mod tests {
         let mut input = BitMap::zeros(1, 2, 2);
         input.set(0, 0, 1, Bit::One);
         input.set(0, 1, 0, Bit::One);
-        let mut rng = DeviceRng::seed_from_u64(3);
-        let out = cell.forward(&input, &mut rng);
+        let stream = CounterStream::from_seed(3);
+        let out = cell.forward(&input, &stream);
         assert_eq!(out.bits(), input.bits());
     }
 
@@ -700,8 +719,8 @@ mod tests {
         let hw = hw_small();
         let cell = DeployedConv::new(&[1.0], 1, 1, 1, 1, 0, true, vec![0.0], vec![false], &hw);
         let input = BitMap::zeros(1, 4, 4);
-        let mut rng = DeviceRng::seed_from_u64(4);
-        let out = cell.forward(&input, &mut rng);
+        let stream = CounterStream::from_seed(4);
+        let out = cell.forward(&input, &stream);
         assert_eq!((out.h, out.w), (2, 2));
         assert_eq!(cell.out_size(4, 4), (2, 2));
     }
@@ -712,8 +731,8 @@ mod tests {
         let signs: Vec<f32> = vec![1.0; 6 * 4];
         let cell = DeployedDense::new(&signs, 6, 4, vec![0.0; 4], vec![false; 4], &hw);
         let input = BitMap::from_bits(6, 1, 1, vec![Bit::One; 6]);
-        let mut rng = DeviceRng::seed_from_u64(5);
-        let out = cell.forward(&input, &mut rng);
+        let stream = CounterStream::from_seed(5);
+        let out = cell.forward(&input, &stream);
         assert_eq!((out.c, out.h, out.w), (4, 1, 1));
         assert_eq!(out.bits(), &[Bit::One; 4]);
     }

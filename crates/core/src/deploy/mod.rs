@@ -11,29 +11,32 @@
 //!
 //! # Four inference engines
 //!
-//! | engine | entry point | RNG | speed |
+//! | engine | entry point | randomness | speed |
 //! |---|---|---|---|
-//! | scalar stochastic | [`DeployedModel::classify`] | yes | slowest |
-//! | packed stochastic | [`PackedModel::classify_stochastic`] | yes | fast |
-//! | scalar digital | [`DeployedModel::classify_digital`] | no | slow |
-//! | packed digital | [`PackedModel::classify_batch`] | no | fastest |
+//! | scalar stochastic | [`DeployedModel::classify`] | counter streams | slowest |
+//! | packed stochastic | [`PackedModel::classify_stochastic_ctr`] | counter streams | fast |
+//! | scalar digital | [`DeployedModel::classify_digital`] | none | slow |
+//! | packed digital | [`PackedModel::classify_batch`] | none | fastest |
 //!
 //! The *stochastic* engines simulate the full SC datapath (gray-zone
 //! neuron noise, observation windows, APC accumulation) and are what
-//! accuracy-vs-noise and variation-aware robustness experiments use. The
-//! scalar one walks the datapath element by element and is the hardware
-//! reference; the packed one ([`stochastic`]) evaluates **the same
-//! semantics** on the `PackedLayer` pipeline — per-tile sums from the
-//! SWAR popcount kernels, per-cell gray-zone probabilities precomputed
-//! into Bernoulli draw-threshold tables, observation windows sampled as
-//! packed word masks — consuming the RNG draw-for-draw like the scalar
-//! engine, so the *same seed produces the same flips, labels and scores*
-//! (several times faster; see `BENCH_stochastic.json`). Per-trial device
-//! variation ([`aqfp_device::VariationModel`]: gray-zone width scale,
-//! attenuation drift, temperature drift) parameterizes the packed tables
-//! ([`PackedModel::stochastic_tables`]) and, on the scalar side, the
-//! crossbars' operating conditions ([`DeployedModel::apply_variation`]) —
-//! the two stay seed-matched under any variation.
+//! accuracy-vs-noise and variation-aware robustness experiments use. They
+//! share one sampler: every observation window is drawn from a keyed
+//! counter stream ([`aqfp_sc::CounterStream`]) at the coordinates
+//! sample → pipeline stage → output pixel → cell, under the byte-wide
+//! Bernoulli law. The scalar one walks the datapath element by element
+//! and is the bit-exact reference; the packed one ([`stochastic`])
+//! evaluates the same windows on the `PackedLayer` pipeline — per-tile
+//! sums from the SWAR popcount kernels, per-cell gray-zone probabilities
+//! precomputed into Bernoulli draw-threshold tables, live windows counted
+//! in vectorized batches — so the *same stream produces the same flips,
+//! labels and scores* (many times faster; see `BENCH_stochastic.json`).
+//! Per-trial device variation ([`aqfp_device::VariationModel`]: gray-zone
+//! width scale, attenuation drift, temperature drift) parameterizes the
+//! packed tables ([`PackedModel::stochastic_tables`]) and, on the scalar
+//! side, the crossbars' operating conditions
+//! ([`DeployedModel::apply_variation`]) — the two stay bit-identical
+//! under any variation.
 //!
 //! The *digital* engines evaluate the deterministic limit (gray-zone → 0,
 //! exact counters): per-tile saturating comparators against integer

@@ -7,10 +7,10 @@ use crate::bnmatch::bn_match;
 use crate::config::HardwareConfig;
 use crate::spec::{CellSpec, NetSpec};
 use aqfp_crossbar::cost::CrossbarCost;
+use aqfp_sc::CounterStream;
 use baselines::software::PopcountLinear;
 use bnn_nn::layers::{BatchNorm, Conv2d, Linear};
 use bnn_nn::{Sequential, Tensor};
-use rand::Rng;
 use std::fmt;
 
 /// Errors raised while mapping a model onto hardware.
@@ -172,18 +172,32 @@ impl DeployedModel {
         &self.cells
     }
 
-    /// Classifies sample `n` of an image batch; returns `(label, scores)`.
-    pub fn classify<R: Rng + ?Sized>(
-        &self,
-        images: &Tensor,
-        n: usize,
-        rng: &mut R,
-    ) -> (usize, Vec<f32>) {
+    /// Classifies sample `n` of an image batch through the stochastic
+    /// datapath; returns `(label, scores)`.
+    ///
+    /// `stream` is the sample's stream. Each cell draws from the stream of
+    /// its pipeline-stage index — the index of its first stage in the
+    /// [`PackedModel`](super::PackedModel) lowering, where a conv cell
+    /// spans a conv (+ pool) stage and a dense cell on a spatial map is
+    /// preceded by a flatten stage — so labels and scores equal
+    /// `PackedModel::classify_stochastic_ctr` with the same stream, bit
+    /// for bit.
+    pub fn classify(&self, images: &Tensor, n: usize, stream: &CounterStream) -> (usize, Vec<f32>) {
         let mut map = BitMap::from_tensor_sample(images, n);
+        let mut stage = 0u64;
         for cell in &self.cells {
             map = match cell {
-                DeployedCell::Conv(c) => c.forward(&map, rng),
-                DeployedCell::Dense(d) => d.forward(&map, rng),
+                DeployedCell::Conv(c) => {
+                    let out = c.forward(&map, &stream.derive(stage));
+                    stage += 1 + u64::from(c.geometry().4);
+                    out
+                }
+                DeployedCell::Dense(d) => {
+                    stage += u64::from(map.h * map.w != 1);
+                    let out = d.forward(&map, &stream.derive(stage));
+                    stage += 1;
+                    out
+                }
             };
         }
         // Flatten is implicit: the classifier consumes the bits in row-major
@@ -234,22 +248,18 @@ impl DeployedModel {
         super::PackedModel::from_deployed(self)
     }
 
-    /// Top-1 accuracy over (the first `limit` samples of) a dataset.
-    pub fn accuracy<R: Rng + ?Sized>(
-        &self,
-        data: &bnn_datasets::Dataset,
-        rng: &mut R,
-        limit: Option<usize>,
-    ) -> f64 {
+    /// Top-1 accuracy of the stochastic datapath over (the first `limit`
+    /// samples of) a dataset. Sample `i` draws from
+    /// `CounterStream::from_seed(seed).derive(i)` — the convention of
+    /// `PackedModel::accuracy_stochastic_ctr`, which reports the identical
+    /// figure.
+    pub fn accuracy(&self, data: &bnn_datasets::Dataset, seed: u64, limit: Option<usize>) -> f64 {
         let n = limit.map_or(data.len(), |l| l.min(data.len()));
         assert!(n > 0, "accuracy over zero samples");
-        let mut correct = 0usize;
-        for i in 0..n {
-            let (pred, _) = self.classify(&data.images, i, rng);
-            if pred == data.labels[i] {
-                correct += 1;
-            }
-        }
+        let root = CounterStream::from_seed(seed);
+        let correct = (0..n)
+            .filter(|&i| self.classify(&data.images, i, &root.derive(i as u64)).0 == data.labels[i])
+            .count();
         correct as f64 / n as f64
     }
 
@@ -281,7 +291,7 @@ impl DeployedModel {
     /// sees the drift. This is the scalar reference of the packed
     /// stochastic engine's variation-parameterized tables
     /// ([`super::PackedModel::stochastic_tables`]): both evaluate the same
-    /// effective law, so classifications stay seed-matched under
+    /// effective law, so classifications stay bit-identical under
     /// variation.
     pub fn apply_variation(&mut self, vm: &aqfp_device::VariationModel) {
         for cell in &mut self.cells {
@@ -473,8 +483,7 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        let mut rng = DeviceRng::seed_from_u64(0);
-        let (label, scores) = deployed.classify(&data.images, 0, &mut rng);
+        let (label, scores) = deployed.classify(&data.images, 0, &CounterStream::from_seed(0));
         assert!(label < 10);
         assert_eq!(scores.len(), 10);
         assert!(scores.iter().all(|s| s.is_finite()));
@@ -491,8 +500,7 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        let mut rng = DeviceRng::seed_from_u64(1);
-        let (label, _) = deployed.classify(&data.images, 0, &mut rng);
+        let (label, _) = deployed.classify(&data.images, 0, &CounterStream::from_seed(1));
         assert!(label < 10);
     }
 
@@ -534,7 +542,7 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        let (label, scores) = deployed.classify(&data.images, 0, &mut rng);
+        let (label, scores) = deployed.classify(&data.images, 0, &CounterStream::from_seed(3));
         assert!(label < 10);
         assert!(scores.iter().all(|s| s.is_finite()));
     }
@@ -554,11 +562,10 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        let mut ra = DeviceRng::seed_from_u64(5);
-        let mut rb = DeviceRng::seed_from_u64(5);
+        let stream = CounterStream::from_seed(5);
         assert_eq!(
-            clean.classify(&data.images, 0, &mut ra),
-            faulty.classify(&data.images, 0, &mut rb)
+            clean.classify(&data.images, 0, &stream),
+            faulty.classify(&data.images, 0, &stream)
         );
     }
 
@@ -572,8 +579,7 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
-        let mut rng = DeviceRng::seed_from_u64(2);
-        let acc = deployed.accuracy(&data, &mut rng, Some(10));
+        let acc = deployed.accuracy(&data, 2, Some(10));
         assert!((0.0..=1.0).contains(&acc));
     }
 }

@@ -223,12 +223,35 @@ fn r_len<R: Read>(r: &mut R) -> Result<usize> {
     Ok(v as usize)
 }
 
+/// Reads `n` values with `read`. The vector grows with the values
+/// actually decoded, never reserved from the declared count, so a corrupt
+/// count runs out of data instead of allocating for it.
+fn r_vec<R: Read, T>(r: &mut R, n: usize, read: fn(&mut R) -> Result<T>) -> Result<Vec<T>> {
+    (0..n).map(|_| read(r)).collect()
+}
+
 fn r_u64s<R: Read>(r: &mut R, n: usize) -> Result<Vec<u64>> {
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r_u64(r)?);
+    r_vec(r, n, r_u64)
+}
+
+/// Reads `n` raw bytes, sized by the bytes actually present.
+fn r_byte_vec<R: Read>(r: &mut R, n: usize) -> Result<Vec<u8>> {
+    let mut v = Vec::new();
+    r.take(n as u64).read_to_end(&mut v)?;
+    if v.len() < n {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
     }
     Ok(v)
+}
+
+/// The element count of a declared `[C, H, W]` shape: `None` when it is
+/// empty, overflows, or exceeds the sanity cap — the bound every decoder
+/// checks before sizing anything by a shape.
+pub(crate) fn shape_volume(shape: [usize; 3]) -> Option<usize> {
+    shape
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&v| v > 0 && v as u64 <= MAX_LEN)
 }
 
 // ------------------------------------------------------------------
@@ -312,22 +335,14 @@ fn read_matrix<R: Read>(r: &mut R) -> Result<PackedTiledMatrix> {
         .checked_mul(k)
         .filter(|&c| c as u64 <= MAX_LEN)
         .ok_or(SnapshotError::Corrupt("comparator table beyond sanity cap"))?;
-    let mut min_sums = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        min_sums.push(r_i64(r)?);
-    }
-    let mut dead = vec![0u8; cells];
-    r.read_exact(&mut dead)?;
+    let min_sums = r_vec(r, cells, r_i64)?;
+    let dead = r_byte_vec(r, cells)?;
     if dead.iter().any(|&d| d > 2) {
         return Err(SnapshotError::Corrupt("dead-column override out of range"));
     }
-    let mut thresholds_ua = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        let t = r_f64(r)?;
-        if !t.is_finite() {
-            return Err(SnapshotError::Corrupt("non-finite neuron threshold"));
-        }
-        thresholds_ua.push(t);
+    let thresholds_ua = r_vec(r, cells, r_f64)?;
+    if thresholds_ua.iter().any(|t| !t.is_finite()) {
+        return Err(SnapshotError::Corrupt("non-finite neuron threshold"));
     }
     let grayzone_ua = r_f64(r)?;
     if !grayzone_ua.is_finite() || grayzone_ua < 0.0 {
@@ -347,8 +362,7 @@ fn read_matrix<R: Read>(r: &mut R) -> Result<PackedTiledMatrix> {
         1 => CounterKind::Approximate,
         _ => return Err(SnapshotError::Corrupt("unknown counter kind")),
     };
-    let mut flip_bytes = vec![0u8; out];
-    r.read_exact(&mut flip_bytes)?;
+    let flip_bytes = r_byte_vec(r, out)?;
     if flip_bytes.iter().any(|&f| f > 1) {
         return Err(SnapshotError::Corrupt("flip flag out of range"));
     }
@@ -531,7 +545,7 @@ impl PackedModel {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let input_shape = [r_len(r)?, r_len(r)?, r_len(r)?];
-        if input_shape.contains(&0) || input_shape.iter().product::<usize>() as u64 > MAX_LEN {
+        if shape_volume(input_shape).is_none() {
             return Err(SnapshotError::Corrupt("input shape out of range"));
         }
         let stage_count = r_u32(r)?;
@@ -554,8 +568,7 @@ impl PackedModel {
                 }
                 TAG_POOL => {
                     let count = r_len(r)?;
-                    let mut flags = vec![0u8; count];
-                    r.read_exact(&mut flags)?;
+                    let flags = r_byte_vec(r, count)?;
                     if flags.iter().any(|&f| f > 1) {
                         return Err(SnapshotError::Corrupt("pool flag out of range"));
                     }
@@ -573,16 +586,10 @@ impl PackedModel {
         if out == 0 || fan_in == 0 {
             return Err(SnapshotError::Corrupt("classifier with zero geometry"));
         }
-        let mut alphas = Vec::with_capacity(out);
-        for _ in 0..out {
-            alphas.push(r_f32(r)?);
-        }
-        let mut bias = Vec::with_capacity(out);
-        for _ in 0..out {
-            bias.push(r_f32(r)?);
-        }
+        let alphas = r_vec(r, out, r_f32)?;
+        let bias = r_vec(r, out, r_f32)?;
         let wpr = fan_in.div_ceil(64);
-        let mut rows = Vec::with_capacity(out);
+        let mut rows = Vec::new();
         for _ in 0..out {
             // `from_words` re-normalizes the tail, keeping the plane
             // invariant even if a foreign writer set slack bits.

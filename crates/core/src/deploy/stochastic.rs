@@ -1,5 +1,5 @@
 //! The packed stochastic engine: the full SC datapath evaluated on
-//! bitplanes, flip-for-flip compatible with the scalar reference.
+//! bitplanes, bit for bit with the scalar reference.
 //!
 //! [`DeployedModel::classify`](super::DeployedModel::classify) simulates
 //! the stochastic datapath one element at a time: per output pixel, per
@@ -22,48 +22,32 @@
 //!    temperature drift) enters here: the tables are built from the
 //!    *effective* width and unit currents while the programmed thresholds
 //!    stay at their calibration-time values.
-//! 3. **Packed Bernoulli streams** — each cell's `L`-cycle observation
-//!    window is sampled as a word mask
-//!    ([`aqfp_sc::bitplane::sample_bernoulli_words`]); APC accumulation
-//!    reduces to popcounts over the masks (exact counter) or a
-//!    cycle-transposed walk of the same masks (approximate counter).
+//! 3. **Counter-keyed Bernoulli windows** — each cell's `L`-cycle
+//!    observation window is drawn from a keyed counter stream
+//!    ([`aqfp_sc::CounterStream`]); APC accumulation reduces to window
+//!    popcounts taken straight out of the generator (exact counter) or a
+//!    cycle-transposed walk of the materialized windows (approximate
+//!    counter).
 //!
-//! # One semantics, shared with the scalar reference
+//! # One sampler, shared with the scalar reference
 //!
-//! The engine consumes the RNG in **exactly** the scalar order (pixel →
-//! column group → row tile → column → cycle), draws one `u64` per
-//! unsaturated cycle bit, and skips draws for saturated probabilities
-//! precisely where `AqfpBuffer::observe` does. The integer-threshold
-//! comparison is bit-equivalent to the scalar `gen::<f64>() < p` (see
-//! [`bernoulli_threshold`]), so
-//! **same seed ⇒ same per-element flip decisions ⇒ identical
-//! classifications** — enforced by seed-matched differential proptests
-//! over ragged geometries (`tests/props.rs`). The speedup comes from
-//! everything around the draws: popcounted tile sums, table lookups
-//! instead of per-element erf evaluations, mask words instead of
-//! per-cycle `Vec<Bit>` allocations (see `BENCH_stochastic.json`).
+//! Every Bernoulli window is a pure function of its coordinates. Sample
+//! `i` of an evaluation draws from `CounterStream::from_seed(seed)
+//! .derive(i)`; below it, each coordinate is one
+//! [`CounterStream::derive`] step — pipeline-stage index, then output
+//! pixel (pixel 0 for linear stages) — and cell `channel·k + tile` reads
+//! its window at tape position `cell · window_stride(L)` of the pixel
+//! stream. The scalar engine draws each window from the same coordinates
+//! with one [`CounterStream::sample_bernoulli_words`] call per cell, so
+//! **same seed ⇒ same flips ⇒ identical labels and scores** — enforced by
+//! differential proptests over ragged multi-tile geometries, faults,
+//! variation, conv pipelines and both counter kinds (`tests/props.rs`).
+//! Because no window depends on another, the packed engine evaluates them
+//! in whatever order is fastest, on any worker count, and stays
+//! bit-reproducible.
 //!
-//! In the gray-zone → 0 limit (`VariationModel` width scale 0) every
-//! table entry saturates and the engine degenerates to the digital
-//! decision rule away from exact comparator ties.
-//!
-//! # The counter mode
-//!
-//! Seed-matched draw order is the engine's licence to exist as a
-//! *reference* — and its throughput bound: one serial `next_u64` chain
-//! per draw, regardless of datapath width. [`RngMode::Counter`] trades
-//! the draw-for-draw pairing (never the *statistics*) for a keyed
-//! counter stream ([`aqfp_sc::CounterStream`]): every Bernoulli window is
-//! a pure function of its `(trial seed, sample, stage, pixel, cell)`
-//! coordinates, generated independently, in any order, on any worker
-//! count — bit-reproducible by construction. Dead columns pin their
-//! window's threshold directly (there is no draw alignment to preserve),
-//! and the per-cell threshold gather walks cells in natural
-//! channel-major order instead of the frozen scalar draw order.
-//!
-//! The counter decision law is byte-wide rather than the scalar
-//! `f64`-wide comparison: each mixed word yields **eight** 8-bit lanes,
-//! and lane `< round(p·2⁸)` fires the bit (see
+//! The decision law is byte-wide: each mixed word yields **eight** 8-bit
+//! lanes, and lane `< round(p·2⁸)` fires the bit (see
 //! [`aqfp_sc::CounterStream::bernoulli_word`]). Probabilities quantize to
 //! 1/256 — at SC window lengths (`L = 16`) that quantization is far
 //! inside the sampling noise, and the payoff is an 8× draw-rate win plus
@@ -74,8 +58,12 @@
 //! ([`aqfp_sc::CounterStream::bernoulli_windows_counts`]) after a
 //! branchless scan splits cells into saturated constants (prefix/suffix
 //! cutoffs precomputed per sub-table in [`MatrixStochasticTables`]) and a
-//! compacted live list. The two RNG modes agree statistically (enforced
-//! by distribution-tolerance tests), just not flip-for-flip.
+//! compacted live list. Dead columns pin their window to the stuck
+//! constant without drawing.
+//!
+//! In the gray-zone → 0 limit (`VariationModel` width scale 0) every
+//! table entry saturates and the engine degenerates to the digital
+//! decision rule away from exact comparator ties.
 
 use super::model::argmax;
 use super::packed::PackedTiledMatrix;
@@ -83,31 +71,22 @@ use super::pipeline::{PackedConvStage, PackedLayer};
 use super::{BitMap, PackedModel};
 use aqfp_device::{Bit, GrayZone, VariationModel};
 use aqfp_sc::accumulate::CounterKind;
-use aqfp_sc::bitplane::{
-    bernoulli_threshold, packed_im2col, sample_bernoulli_planes, sample_bernoulli_words,
-    BERNOULLI_ALWAYS, BERNOULLI_NEVER,
-};
+use aqfp_sc::bitplane::{bernoulli_threshold, packed_im2col, BERNOULLI_ALWAYS, BERNOULLI_NEVER};
 use aqfp_sc::counter::{counter_always, counter_never};
 use aqfp_sc::{Apc, BitPlane, CounterStream, PackedMatrix};
 use bnn_nn::Tensor;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Selects how the stochastic engine draws its Bernoulli observation
-/// windows.
+/// How the stochastic engine draws its Bernoulli observation windows.
+/// Keyed counter streams are the one discipline; the enum remains so
+/// campaign configurations can name it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RngMode {
-    /// One shared serial generator consumed in the exact scalar draw
-    /// order — flip-for-flip identical to `DeployedModel::classify` from
-    /// the same seed (the differential oracle), throughput-bounded by the
-    /// serial `next_u64` chain.
-    #[default]
-    SeedMatched,
     /// Keyed counter streams ([`aqfp_sc::CounterStream`]): each draw is a
     /// pure function of its coordinates, so windows generate independently
     /// and results are bit-reproducible across evaluation order and
-    /// worker count. Statistically equivalent to [`RngMode::SeedMatched`]
-    /// (same quantized Bernoulli laws), not draw-for-draw identical.
+    /// worker count.
+    #[default]
     Counter,
 }
 
@@ -128,17 +107,10 @@ pub struct MatrixStochasticTables {
     base: Vec<usize>,
     /// Output channels the tables were built for.
     out: usize,
-    /// Cell indices `channel·k + tile` in scalar RNG draw order (column
-    /// groups outer, then row tiles, then columns) — the iteration order
-    /// of the plane-at-a-time sampling batch.
-    order: Vec<u32>,
-    /// Draw-order-aligned start offsets of each cell's sub-table in
-    /// `thr` (`channel·stride + base[tile]`).
-    toff: Vec<u32>,
     /// `[out × k]` channel-major per-cell saturation cutoffs, packed
     /// `lo | hi << 16`: match counts below `lo` read a draw-free constant
     /// '0' (that whole sub-table prefix is [`BERNOULLI_NEVER`]) and counts
-    /// at or above `hi` read a draw-free '1'. The fused counter path
+    /// at or above `hi` read a draw-free '1'. The fused exact-counter path
     /// resolves saturated cells from these two compares alone, without a
     /// dependent load into the (much larger) threshold table.
     sat: Vec<u32>,
@@ -185,33 +157,17 @@ impl MatrixStochasticTables {
                 }
             }
         }
-        // Scalar draw order, frozen once: the evaluation loop walks cells
-        // through these two arrays instead of re-deriving the group
-        // nesting per pixel.
-        let groups = m.col_group_starts();
-        let mut order = Vec::with_capacity(m.out() * k);
-        let mut toff = Vec::with_capacity(m.out() * k);
-        for g in 0..groups.len() - 1 {
-            for (r, &b) in base[..k].iter().enumerate() {
-                for c in groups[g]..groups[g + 1] {
-                    order.push((c * k + r) as u32);
-                    toff.push((c * stride + b) as u32);
-                }
-            }
-        }
-        // Saturation cutoffs under the *counter* law: the gray-zone law is
+        // Saturation cutoffs under the counter law: the gray-zone law is
         // monotone in the match count, so each cell's sub-table is a
         // never-fires prefix, a live band, and an always-fires suffix —
-        // record the two band edges. The predicates are the 16-bit
+        // record the two band edges. The predicates are the byte-lane
         // quantized ones ([`counter_never`]/[`counter_always`]), which
-        // also classify deep-tail probabilities (`0 < p < 2⁻¹⁷` and its
+        // also classify deep-tail probabilities (`0 < p < 2⁻⁹` and its
         // mirror) as certainly-constant: skipping their draws reproduces
-        // the counter sampler's output bit-for-bit, because no 16-bit lane
-        // can land below (resp. at or above) such a threshold. Only the
-        // fused counter path reads these; the seed-matched oracle must
-        // still draw its tails. (Computed from the table itself, so a
-        // non-monotone law would only cost performance, never
-        // correctness.)
+        // the sampler's output bit-for-bit, because no byte lane can land
+        // below (resp. at or above) such a threshold. (Computed from the
+        // table itself, so a non-monotone law would only cost
+        // performance, never correctness.)
         let mut sat = Vec::with_capacity(m.out() * k);
         for c in 0..m.out() {
             for r in 0..k {
@@ -225,8 +181,6 @@ impl MatrixStochasticTables {
             thr,
             base,
             out: m.out(),
-            order,
-            toff,
             sat,
         }
     }
@@ -257,84 +211,16 @@ pub(crate) struct Scratch {
 }
 
 /// Evaluates one packed activation word slice through the stochastic
-/// datapath of `m`, reporting each channel's output bit through `sink`.
-///
-/// RNG consumption follows the scalar engine exactly: column groups in
-/// plan order, row tiles within a group, columns within a tile, cycles
-/// within a window; saturated cells and draw-free sentinels consume
-/// nothing. Dead columns draw their (discarded) stream like the scalar
-/// path, then read constant.
+/// datapath of `m`, reporting each channel's output bit through `sink`:
+/// every cell's observation window lives on `stream`'s flat decision tape
+/// at window index `channel·k + tile` (see
+/// [`aqfp_sc::CounterStream::sample_bernoulli_windows`]), so the windows
+/// are pure functions of their coordinates — no draw order, no serial
+/// chain. Dead columns pin their threshold to the stuck constant.
 ///
 /// Callers must have validated `tables` against `m` with
 /// [`MatrixStochasticTables::check`] — hoisted out of this (per-pixel)
 /// hot path to the per-stage entry points.
-fn eval_channels<R: Rng + ?Sized>(
-    m: &PackedTiledMatrix,
-    tables: &MatrixStochasticTables,
-    acts: &[u64],
-    rng: &mut R,
-    scratch: &mut Scratch,
-    sink: impl FnMut(usize, bool),
-) {
-    let k = m.row_tiles();
-    let out = m.out();
-    let window = m.window();
-    let stream_words = window.div_ceil(64);
-
-    scratch.matches.resize(out * k, 0);
-    m.matches_into(acts, &mut scratch.matches);
-    scratch.streams.resize(out * k * stream_words, 0);
-
-    // RNG pass: gather every cell's Bernoulli threshold (selected by its
-    // match count) in scalar draw order, then sample all observation
-    // windows in one plane-at-a-time batch. The sampler walks the cells
-    // in the given order consuming the RNG exactly like per-cell calls
-    // would, but the draw loop stays tight across the whole matrix.
-    scratch.thrs.clear();
-    scratch.offs.clear();
-    for (&idx, &toff) in tables.order.iter().zip(&tables.toff) {
-        scratch
-            .thrs
-            .push(tables.thr[toff as usize + scratch.matches[idx as usize] as usize]);
-        scratch.offs.push(idx as usize * stream_words);
-    }
-    sample_bernoulli_planes(
-        &scratch.thrs,
-        &scratch.offs,
-        window,
-        &mut scratch.streams,
-        rng,
-    );
-    // Dead columns: the die's neuron drew its (discarded) window above —
-    // the RNG stream must stay aligned with the scalar engine — but the
-    // stuck output reads a constant (the pin sentinels consume no draws).
-    for c in 0..out {
-        for r in 0..k {
-            if let Some(b) = m.dead_override(c, r) {
-                let idx = c * k + r;
-                let slot = &mut scratch.streams[idx * stream_words..(idx + 1) * stream_words];
-                let pin = if b.as_bool() {
-                    BERNOULLI_ALWAYS
-                } else {
-                    BERNOULLI_NEVER
-                };
-                sample_bernoulli_words(pin, window, slot, rng);
-            }
-        }
-    }
-
-    accumulate_windows(m, scratch, sink);
-}
-
-/// Evaluates one packed activation word slice through the stochastic
-/// datapath of `m` in **counter mode**: every cell's observation window
-/// lives on `stream`'s flat decision tape at window index
-/// `channel·k + tile` (see
-/// [`aqfp_sc::CounterStream::sample_bernoulli_planes`]), so the windows
-/// are pure functions of their coordinates — no draw order, no serial
-/// chain. Dead columns pin their threshold to the stuck constant directly;
-/// unlike the seed-matched path there is no discarded draw to keep a
-/// shared stream aligned.
 fn eval_channels_ctr(
     m: &PackedTiledMatrix,
     tables: &MatrixStochasticTables,
@@ -352,12 +238,12 @@ fn eval_channels_ctr(
     m.matches_into(acts, &mut scratch.matches);
 
     let stride = tables.base[k];
+    let half = (k * window) as u64; // doubled threshold, like the scalar module
+
     // The threshold of cell `(c, r)` in natural channel-major cell order:
     // window `i` of the batch IS cell `i = channel·k + tile`, so the
     // cell's tape position is the cell index times the window stride. A
-    // dead column pins the window at the source (counter draws are
-    // free-standing, so nothing needs to stay aligned with a discarded
-    // draw).
+    // dead column pins the window at the source.
     let cell_thr = |c: usize, r: usize, matches: u32| match m.dead_override(c, r) {
         Some(b) => {
             if b.as_bool() {
@@ -390,7 +276,6 @@ fn eval_channels_ctr(
         // votes. No per-cell branch anywhere, so the mixed
         // live/saturated cell pattern of a mid-gray-zone workload cannot
         // mispredict.
-        let half = (k * window) as u64;
         let dead = m.dead_cells();
         let base = &tables.base[..k];
         scratch.thrs.resize(out * k, 0);
@@ -437,8 +322,8 @@ fn eval_channels_ctr(
     }
 
     // Approximate APC: its counting error depends on the bit pattern
-    // *across* tiles per cycle, so materialize every window and let the
-    // shared accumulation transpose them.
+    // *across* tiles per cycle, so materialize every window, transpose the
+    // packed streams back into cycle words and mirror the scalar count.
     scratch.streams.resize(out * k * stream_words, 0);
     scratch.thrs.clear();
     scratch.offs.clear();
@@ -449,51 +334,19 @@ fn eval_channels_ctr(
             scratch.offs.push(idx * stream_words);
         }
     }
-    stream.sample_bernoulli_planes(&scratch.thrs, &scratch.offs, window, &mut scratch.streams);
-    accumulate_windows(m, scratch, sink);
-}
-
-/// APC accumulation + midpoint comparator (ties to '1') over the sampled
-/// observation windows in `scratch.streams`, per channel — shared by the
-/// seed-matched and counter sampling front-ends.
-fn accumulate_windows(
-    m: &PackedTiledMatrix,
-    scratch: &mut Scratch,
-    mut sink: impl FnMut(usize, bool),
-) {
-    let k = m.row_tiles();
-    let out = m.out();
-    let window = m.window();
-    let stream_words = window.div_ceil(64);
-    let half = (k * window) as u64; // doubled threshold, like the scalar module
-    match m.counter() {
-        CounterKind::Exact => {
-            for c in 0..out {
-                let total: u64 = scratch.streams[c * k * stream_words..(c + 1) * k * stream_words]
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .sum();
-                sink(c, (2 * total >= half) != m.flips()[c]);
+    stream.sample_bernoulli_windows(&scratch.thrs, &scratch.offs, window, &mut scratch.streams);
+    let apc = Apc::new(k);
+    scratch.word.resize(k, Bit::Zero);
+    for c in 0..out {
+        let mut total = 0u64;
+        for t in 0..window {
+            for r in 0..k {
+                let w = scratch.streams[(c * k + r) * stream_words + t / 64];
+                scratch.word[r] = Bit::from_bool((w >> (t % 64)) & 1 == 1);
             }
+            total += apc.count_approx(&scratch.word) as u64;
         }
-        CounterKind::Approximate => {
-            // The approximate APC's counting error depends on the bit
-            // pattern *across* tiles per cycle, so transpose the packed
-            // streams back into cycle words and mirror the scalar count.
-            let apc = Apc::new(k);
-            scratch.word.resize(k, Bit::Zero);
-            for c in 0..out {
-                let mut total = 0u64;
-                for t in 0..window {
-                    for r in 0..k {
-                        let w = scratch.streams[(c * k + r) * stream_words + t / 64];
-                        scratch.word[r] = Bit::from_bool((w >> (t % 64)) & 1 == 1);
-                    }
-                    total += apc.count_approx(&scratch.word) as u64;
-                }
-                sink(c, (2 * total >= half) != m.flips()[c]);
-            }
-        }
+        sink(c, (2 * total >= half) != m.flips()[c]);
     }
 }
 
@@ -514,35 +367,10 @@ impl PackedTiledMatrix {
 
     /// Evaluates all output channels for one packed activation plane
     /// through the **stochastic** datapath — the word-parallel counterpart
-    /// of `TiledMatrix::forward`, seed-matched flip for flip.
-    ///
-    /// # Panics
-    /// Panics if `act.len() != fan_in()` or `tables` was built for a
-    /// different geometry.
-    pub fn forward_stochastic<R: Rng + ?Sized>(
-        &self,
-        tables: &MatrixStochasticTables,
-        act: &BitPlane,
-        rng: &mut R,
-    ) -> BitPlane {
-        assert_eq!(act.len(), self.fan_in(), "input length mismatch");
-        tables.check(self);
-        let mut out = BitPlane::zeros(self.out());
-        let mut scratch = Scratch::default();
-        eval_channels(self, tables, act.words(), rng, &mut scratch, |c, bit| {
-            if bit {
-                out.set(c, true);
-            }
-        });
-        out
-    }
-
-    /// Counter-mode twin of [`PackedTiledMatrix::forward_stochastic`]:
-    /// every cell's observation window is drawn from a child of `stream`
-    /// keyed by the cell index, so the result is a pure function of
-    /// `(stream, activations)` — order-free and replay-stable. Same
-    /// quantized Bernoulli laws as the seed-matched path, not the same
-    /// flips.
+    /// of `TiledMatrix::forward`, flip for flip: cell `channel·k + tile`
+    /// draws its window from `stream` at tape position
+    /// `cell · window_stride(L)`, so the result is a pure function of
+    /// `(stream, activations)`.
     ///
     /// # Panics
     /// Panics if `act.len() != fan_in()` or `tables` was built for a
@@ -576,10 +404,6 @@ pub struct StochasticTables {
     stages: Vec<Option<MatrixStochasticTables>>,
     /// The operating condition the tables were built for.
     variation: VariationModel,
-    /// The RNG discipline the tables were built for; entry points assert
-    /// it matches so seed-matched oracles and counter campaigns can't be
-    /// silently mixed.
-    mode: RngMode,
 }
 
 impl StochasticTables {
@@ -587,42 +411,28 @@ impl StochasticTables {
     pub fn variation(&self) -> &VariationModel {
         &self.variation
     }
-
-    /// The RNG discipline the tables were built for.
-    pub fn mode(&self) -> RngMode {
-        self.mode
-    }
-
-    fn check_mode(&self, want: RngMode) {
-        assert_eq!(
-            self.mode, want,
-            "stochastic tables were built for {:?}, evaluated as {:?}",
-            self.mode, want
-        );
-    }
 }
 
-/// The sampling-agnostic conv scaffold: the word-level im2col gather of
-/// the digital path, then `eval` (one of the two sampling front-ends) per
-/// output pixel in scalar (row-major) pixel order, output bits assembled
-/// as whole words. `eval` receives the pixel's packed activation words,
-/// the pixel index, the scratch buffers, and the per-channel output-bit
-/// accumulator: it must OR each channel's bit into `cur[channel]` at bit
-/// position `pixel % 64` (a static contract rather than a boxed sink, so
-/// the per-channel store stays a direct monomorphized write).
-fn conv_forward_stochastic_with(
+/// Runs one conv stage stochastically: the word-level im2col gather of
+/// the digital path, then each output pixel (row-major) draws from its
+/// own child stream (`stage_stream.derive(pixel)`), so the stage's flips
+/// are pure functions of their coordinates. Output bits are assembled as
+/// whole words.
+fn conv_forward_stochastic_ctr(
     stage: &PackedConvStage,
+    tables: &MatrixStochasticTables,
     input: &BitPlane,
     shape: [usize; 3],
+    stage_stream: &CounterStream,
     scratch: &mut Scratch,
-    mut eval: impl FnMut(&[u64], usize, &mut Scratch, &mut [u64]),
 ) -> (BitPlane, [usize; 3]) {
+    let m = stage.matrix();
+    tables.check(m);
     let [c, h, w] = shape;
     assert_eq!(input.len(), c * h * w, "plane/shape mismatch");
     let out_shape = stage.out_shape(shape);
     let (_, k, stride, pad) = stage.geometry();
     let fields = packed_im2col(input, c, h, w, k, stride, pad, false);
-    let m = stage.matrix();
     let n = fields.rows();
     let fw = fields.words_per_row();
     let storage = fields.storage();
@@ -632,7 +442,10 @@ fn conv_forward_stochastic_with(
     let mut cur = std::mem::take(&mut scratch.cur);
     for a in 0..n {
         let acts = &storage[a * fw..(a + 1) * fw];
-        eval(acts, a, scratch, &mut cur);
+        let pixel = stage_stream.derive(a as u64);
+        eval_channels_ctr(m, tables, acts, &pixel, scratch, |ch, bit| {
+            cur[ch] |= (bit as u64) << (a % 64);
+        });
         if a % 64 == 63 {
             for (ch, word) in cur.iter_mut().enumerate() {
                 out.row_words_mut(ch)[a / 64] = *word;
@@ -649,46 +462,6 @@ fn conv_forward_stochastic_with(
     (out.concat_rows(), out_shape)
 }
 
-/// Runs one conv stage stochastically in seed-matched order: pixels
-/// row-major, each drawing from the one shared serial generator.
-fn conv_forward_stochastic<R: Rng + ?Sized>(
-    stage: &PackedConvStage,
-    tables: &MatrixStochasticTables,
-    input: &BitPlane,
-    shape: [usize; 3],
-    rng: &mut R,
-    scratch: &mut Scratch,
-) -> (BitPlane, [usize; 3]) {
-    let m = stage.matrix();
-    tables.check(m);
-    conv_forward_stochastic_with(stage, input, shape, scratch, |acts, a, scratch, cur| {
-        eval_channels(m, tables, acts, rng, scratch, |ch, bit| {
-            cur[ch] |= (bit as u64) << (a % 64);
-        })
-    })
-}
-
-/// Runs one conv stage stochastically in counter mode: each output pixel
-/// draws from its own child stream (`stage_stream.derive(pixel)`), so the
-/// stage's flips are pure functions of their coordinates.
-fn conv_forward_stochastic_ctr(
-    stage: &PackedConvStage,
-    tables: &MatrixStochasticTables,
-    input: &BitPlane,
-    shape: [usize; 3],
-    stage_stream: &CounterStream,
-    scratch: &mut Scratch,
-) -> (BitPlane, [usize; 3]) {
-    let m = stage.matrix();
-    tables.check(m);
-    conv_forward_stochastic_with(stage, input, shape, scratch, |acts, a, scratch, cur| {
-        let pixel = stage_stream.derive(a as u64);
-        eval_channels_ctr(m, tables, acts, &pixel, scratch, |ch, bit| {
-            cur[ch] |= (bit as u64) << (a % 64);
-        })
-    })
-}
-
 impl PackedModel {
     /// Precomputes the stochastic mode's flip-probability tables for one
     /// operating condition (see
@@ -699,14 +472,6 @@ impl PackedModel {
     /// this model, which is what lets a variation × fault-rate campaign
     /// share them across trials.
     pub fn stochastic_tables(&self, vm: &VariationModel) -> StochasticTables {
-        self.stochastic_tables_mode(vm, RngMode::SeedMatched)
-    }
-
-    /// [`PackedModel::stochastic_tables`] with an explicit [`RngMode`]
-    /// tag. The per-cell thresholds are identical in both modes — the tag
-    /// records which sampling discipline the campaign will evaluate under
-    /// so entry points can reject a mode mismatch.
-    pub fn stochastic_tables_mode(&self, vm: &VariationModel, mode: RngMode) -> StochasticTables {
         StochasticTables {
             stages: self
                 .layers()
@@ -718,100 +483,26 @@ impl PackedModel {
                 })
                 .collect(),
             variation: *vm,
-            mode,
         }
+    }
+
+    /// [`PackedModel::stochastic_tables`]; the tables do not depend on the
+    /// [`RngMode`].
+    pub fn stochastic_tables_mode(&self, vm: &VariationModel, _mode: RngMode) -> StochasticTables {
+        self.stochastic_tables(vm)
     }
 
     /// Classifies one packed `[C, H, W]` plane through the **stochastic**
     /// datapath: weighted stages run the packed SC simulation (gray-zone
     /// flips, observation windows, APC accumulation), pool/flatten stages
     /// and the classifier head are deterministic exactly as in the scalar
-    /// engine. Seed-matched with
-    /// [`DeployedModel::classify`](super::DeployedModel::classify): the
-    /// same RNG state produces the same label and scores.
-    pub fn classify_stochastic_plane<R: Rng + ?Sized>(
-        &self,
-        tables: &StochasticTables,
-        plane: &BitPlane,
-        rng: &mut R,
-    ) -> (usize, Vec<f32>) {
-        let mut scratch = Scratch::default();
-        self.classify_plane_stochastic_with(tables, plane.clone(), rng, &mut scratch)
-    }
-
-    /// Classifies sample `n` of an image batch through the stochastic
-    /// datapath; returns `(label, scores)`. See
-    /// [`PackedModel::classify_stochastic_plane`].
-    pub fn classify_stochastic<R: Rng + ?Sized>(
-        &self,
-        tables: &StochasticTables,
-        images: &Tensor,
-        n: usize,
-        rng: &mut R,
-    ) -> (usize, Vec<f32>) {
-        let map = BitMap::from_tensor_sample(images, n);
-        self.classify_stochastic_plane(tables, &map.to_plane(), rng)
-    }
-
-    /// Top-1 accuracy of the stochastic engine over (the first `limit`
-    /// samples of) a dataset, evaluated sequentially so the RNG
-    /// consumption — and therefore every accuracy figure — is seed-matched
-    /// with the scalar `DeployedModel::accuracy`.
-    pub fn accuracy_stochastic<R: Rng + ?Sized>(
-        &self,
-        tables: &StochasticTables,
-        data: &bnn_datasets::Dataset,
-        rng: &mut R,
-        limit: Option<usize>,
-    ) -> f64 {
-        let n = limit.map_or(data.len(), |l| l.min(data.len()));
-        assert!(n > 0, "accuracy over zero samples");
-        let mut scratch = Scratch::default();
-        let mut correct = 0usize;
-        for i in 0..n {
-            let plane = BitMap::from_tensor_sample(&data.images, i).to_plane();
-            let (pred, _) = self.classify_plane_stochastic_with(tables, plane, rng, &mut scratch);
-            if pred == data.labels[i] {
-                correct += 1;
-            }
-        }
-        correct as f64 / n as f64
-    }
-
-    /// Top-1 accuracy of the seed-matched stochastic engine over
-    /// pre-packed planes: RNG-identical to
-    /// [`PackedModel::accuracy_stochastic`] (plane packing consumes no
-    /// draws), but the per-sample `BitMap` conversion is hoisted out — the
-    /// form Monte Carlo campaigns use to share one packed eval set across
-    /// every trial.
-    pub fn accuracy_stochastic_planes<R: Rng + ?Sized>(
-        &self,
-        tables: &StochasticTables,
-        planes: &[BitPlane],
-        labels: &[usize],
-        rng: &mut R,
-    ) -> f64 {
-        assert_eq!(planes.len(), labels.len(), "planes/labels mismatch");
-        assert!(!planes.is_empty(), "accuracy over zero samples");
-        let mut scratch = Scratch::default();
-        let mut correct = 0usize;
-        for (plane, &label) in planes.iter().zip(labels) {
-            let (pred, _) =
-                self.classify_plane_stochastic_with(tables, plane.clone(), rng, &mut scratch);
-            if pred == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / planes.len() as f64
-    }
-
-    /// Classifies one packed `[C, H, W]` plane through the stochastic
-    /// datapath in **counter mode**: every observation window is drawn
-    /// from a child of `stream` keyed by `(stage, pixel, cell)`, so the
-    /// result is a pure function of `(stream, plane)` — bit-reproducible
-    /// regardless of what else has been evaluated, in what order, on how
-    /// many workers. Callers give each sample its own stream (see
-    /// [`PackedModel::accuracy_stochastic_ctr`] for the convention).
+    /// engine. Every observation window is drawn from a child of `stream`
+    /// keyed by `(stage, pixel, cell)`, so the result is a pure function
+    /// of `(stream, plane)` — bit-reproducible regardless of what else has
+    /// been evaluated, in what order, on how many workers — and equal to
+    /// [`DeployedModel::classify`](super::DeployedModel::classify) with
+    /// the same sample stream. Callers give each sample its own stream
+    /// (see [`PackedModel::accuracy_stochastic_ctr`] for the convention).
     pub fn classify_stochastic_plane_ctr(
         &self,
         tables: &StochasticTables,
@@ -822,8 +513,8 @@ impl PackedModel {
         self.classify_plane_stochastic_ctr_with(tables, plane.clone(), stream, &mut scratch)
     }
 
-    /// Classifies sample `n` of an image batch in counter mode; returns
-    /// `(label, scores)`. See
+    /// Classifies sample `n` of an image batch through the stochastic
+    /// datapath; returns `(label, scores)`. See
     /// [`PackedModel::classify_stochastic_plane_ctr`].
     pub fn classify_stochastic_ctr(
         &self,
@@ -836,12 +527,14 @@ impl PackedModel {
         self.classify_stochastic_plane_ctr(tables, &map.to_plane(), stream)
     }
 
-    /// Top-1 accuracy of the counter-mode stochastic engine over (the
-    /// first `limit` samples of) a dataset. Sample `i` draws from
+    /// Top-1 accuracy of the stochastic engine over (the first `limit`
+    /// samples of) a dataset. Sample `i` draws from
     /// `CounterStream::from_seed(seed).derive(i)`, so each figure is a
     /// pure function of `(seed, dataset)`: the samples can be evaluated in
     /// any order, split across any worker count, or re-run individually
-    /// and the accuracy is bit-identical.
+    /// and the accuracy is bit-identical — and equal to the scalar
+    /// [`DeployedModel::accuracy`](super::DeployedModel::accuracy) at the
+    /// same seed.
     pub fn accuracy_stochastic_ctr(
         &self,
         tables: &StochasticTables,
@@ -869,10 +562,11 @@ impl PackedModel {
         correct as f64 / n as f64
     }
 
-    /// Counter-mode twin of [`PackedModel::accuracy_stochastic_planes`]:
-    /// plane `i` draws from `CounterStream::from_seed(seed).derive(i)` —
-    /// the same per-sample streams as
-    /// [`PackedModel::accuracy_stochastic_ctr`] over the packed dataset.
+    /// [`PackedModel::accuracy_stochastic_ctr`] over pre-packed planes:
+    /// plane `i` draws from `CounterStream::from_seed(seed).derive(i)`, but
+    /// the per-sample `BitMap` conversion is hoisted out — the form Monte
+    /// Carlo campaigns use to share one packed eval set across every
+    /// trial.
     pub fn accuracy_stochastic_planes_ctr(
         &self,
         tables: &StochasticTables,
@@ -899,52 +593,12 @@ impl PackedModel {
         correct as f64 / planes.len() as f64
     }
 
-    /// The shared folding loop: scratch buffers persist across calls so
-    /// batch evaluation does one allocation set, not one per sample.
-    fn classify_plane_stochastic_with<R: Rng + ?Sized>(
-        &self,
-        tables: &StochasticTables,
-        mut act: BitPlane,
-        rng: &mut R,
-        scratch: &mut Scratch,
-    ) -> (usize, Vec<f32>) {
-        assert_eq!(
-            tables.stages.len(),
-            self.layers().len(),
-            "stochastic tables were built for a different pipeline"
-        );
-        tables.check_mode(RngMode::SeedMatched);
-        let mut shape = self.input_shape();
-        for (layer, tab) in self.layers().iter().zip(&tables.stages) {
-            (act, shape) = match (layer, tab) {
-                (PackedLayer::Conv(c), Some(t)) => {
-                    conv_forward_stochastic(c, t, &act, shape, rng, scratch)
-                }
-                (PackedLayer::Linear(l), Some(t)) => {
-                    let m = l.matrix();
-                    t.check(m);
-                    let mut out = BitPlane::zeros(m.out());
-                    eval_channels(m, t, act.words(), rng, scratch, |ch, bit| {
-                        if bit {
-                            out.set(ch, true);
-                        }
-                    });
-                    let f = out.len();
-                    (out, [f, 1, 1])
-                }
-                (PackedLayer::Pool(_) | PackedLayer::Flatten, None) => layer.forward(act, shape),
-                _ => unreachable!("stochastic tables misaligned with the pipeline"),
-            };
-        }
-        let scores = self.classifier().scores_plane(&act);
-        (argmax(&scores), scores)
-    }
-
-    /// Counter-mode folding loop: stage `l` (counting every pipeline layer,
+    /// The shared folding loop: stage `l` (counting every pipeline layer,
     /// weighted or not, so the coordinates survive pipeline refactors that
     /// only touch table alignment) draws from `sample_stream.derive(l)`,
     /// conv pixels from the stage stream's children, linear stages from
-    /// child `0`.
+    /// child `0`. Scratch buffers persist across calls so batch evaluation
+    /// does one allocation set, not one per sample.
     fn classify_plane_stochastic_ctr_with(
         &self,
         tables: &StochasticTables,
@@ -957,7 +611,6 @@ impl PackedModel {
             self.layers().len(),
             "stochastic tables were built for a different pipeline"
         );
-        tables.check_mode(RngMode::Counter);
         let mut shape = self.input_shape();
         for (li, (layer, tab)) in self.layers().iter().zip(&tables.stages).enumerate() {
             (act, shape) = match (layer, tab) {
@@ -994,7 +647,6 @@ mod tests {
     use crate::deploy::{deploy, TiledMatrix};
     use crate::spec::NetSpec;
     use aqfp_crossbar::faults::InjectedFaults;
-    use aqfp_device::{DeviceRng, SeedableRng};
 
     fn hw(rows: usize, cols: usize, grayzone_ua: f64, bitstream_len: usize) -> HardwareConfig {
         HardwareConfig {
@@ -1018,12 +670,12 @@ mod tests {
             .collect()
     }
 
-    /// The core tentpole property at matrix level: same seed, same flips,
-    /// same outputs as the scalar stochastic datapath — on a ragged
-    /// multi-tile geometry with a wide gray-zone (plenty of unsaturated
-    /// cells, so the RNG alignment is actually exercised).
+    /// The core property at matrix level: same stream, same flips, same
+    /// outputs as the scalar stochastic datapath — on a ragged multi-tile
+    /// geometry with a wide gray-zone (plenty of unsaturated cells, so the
+    /// window coordinates are actually exercised).
     #[test]
-    fn packed_stochastic_is_seed_matched_with_scalar() {
+    fn packed_stochastic_matches_scalar_bit_for_bit() {
         let h = hw(8, 4, 8.0, 16);
         let (fan_in, out) = (70, 6);
         let signs = pseudo_signs(fan_in * out, 1);
@@ -1032,21 +684,22 @@ mod tests {
         let m = TiledMatrix::new(&signs, fan_in, out, vth, flips, &h);
         let packed = PackedTiledMatrix::from_tiled(&m);
         let tables = packed.stochastic_tables(&VariationModel::nominal());
-        let mut scalar_rng = DeviceRng::seed_from_u64(33);
-        let mut packed_rng = DeviceRng::seed_from_u64(33);
+        let root = CounterStream::from_seed(33);
         for salt in 0..16 {
             let input: Vec<Bit> = (0..fan_in)
                 .map(|i| Bit::from_bool((i * 13 + salt * 7) % 3 == 0))
                 .collect();
-            let scalar = m.forward(&input, &mut scalar_rng);
+            let stream = root.derive(salt as u64);
+            let scalar = m.forward(&input, &stream);
             let plane =
-                packed.forward_stochastic(&tables, &BitPlane::from_bits(&input), &mut packed_rng);
+                packed.forward_stochastic_ctr(&tables, &BitPlane::from_bits(&input), &stream);
             assert_eq!(plane.to_bits(), scalar, "salt {salt}");
         }
     }
 
     /// Model level: the packed stochastic engine reproduces
-    /// `DeployedModel::classify` — labels and scores — from the same seed.
+    /// `DeployedModel::classify` — labels and scores — from the same
+    /// sample streams, and whole-accuracy figures from the same seed.
     #[test]
     fn packed_model_stochastic_matches_scalar_classify() {
         let h = hw(16, 16, 4.0, 8);
@@ -1059,62 +712,56 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
-        let mut scalar_rng = DeviceRng::seed_from_u64(7);
-        let mut packed_rng = DeviceRng::seed_from_u64(7);
+        let root = CounterStream::from_seed(7);
         for i in 0..data.len() {
+            let stream = root.derive(i as u64);
             assert_eq!(
-                packed.classify_stochastic(&tables, &data.images, i, &mut packed_rng),
-                deployed.classify(&data.images, i, &mut scalar_rng),
+                packed.classify_stochastic_ctr(&tables, &data.images, i, &stream),
+                deployed.classify(&data.images, i, &stream),
                 "sample {i}"
             );
         }
-        // Whole-accuracy figures stay seed-matched too.
-        let mut scalar_rng = DeviceRng::seed_from_u64(8);
-        let mut packed_rng = DeviceRng::seed_from_u64(8);
         assert_eq!(
-            packed.accuracy_stochastic(&tables, &data, &mut packed_rng, Some(10)),
-            deployed.accuracy(&data, &mut scalar_rng, Some(10)),
+            packed.accuracy_stochastic_ctr(&tables, &data, 8, Some(10)),
+            deployed.accuracy(&data, 8, Some(10)),
         );
     }
 
-    /// In the gray-zone → 0 limit the stochastic engine collapses onto the
-    /// digital decision rule (no comparator ties at these thresholds).
+    /// In the gray-zone → 0 limit the scalar stochastic reference
+    /// collapses onto the digital decision rule (no comparator ties at
+    /// these thresholds): every window saturates, whatever the stream.
     #[test]
     fn zero_width_limit_is_the_digital_engine() {
         let h = hw(8, 8, 2.4, 8);
         let (fan_in, out) = (40, 5);
         let signs = pseudo_signs(fan_in * out, 2);
         let vth: Vec<f64> = (0..out).map(|o| o as f64 * 0.37 + 0.11).collect();
-        let m = TiledMatrix::new(&signs, fan_in, out, vth, vec![false; out], &h);
-        let packed = PackedTiledMatrix::from_tiled(&m);
-        let zero = VariationModel::new(0.0, 0.0, 0.0).unwrap();
-        let tables = packed.stochastic_tables(&zero);
-        let mut rng = DeviceRng::seed_from_u64(5);
-        for salt in 0..8 {
+        let mut m = TiledMatrix::new(&signs, fan_in, out, vth, vec![false; out], &h);
+        m.apply_variation(&VariationModel::new(0.0, 0.0, 0.0).unwrap());
+        let root = CounterStream::from_seed(5);
+        for salt in 0..8u64 {
             let input: Vec<Bit> = (0..fan_in)
-                .map(|i| Bit::from_bool((i * 5 + salt * 11) % 4 < 2))
+                .map(|i| Bit::from_bool((i * 5 + salt as usize * 11) % 4 < 2))
                 .collect();
-            let plane = packed.forward_stochastic(&tables, &BitPlane::from_bits(&input), &mut rng);
-            assert_eq!(plane.to_bits(), m.forward_digital(&input), "salt {salt}");
+            assert_eq!(
+                m.forward(&input, &root.derive(salt)),
+                m.forward_digital(&input),
+                "salt {salt}"
+            );
         }
-        // Fully saturated tables never touch the RNG.
-        let mut untouched = DeviceRng::seed_from_u64(5);
-        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
     }
 
-    /// Counter mode's tentpole property: every classification is a pure
-    /// function of its `(seed, sample)` coordinates — replaying a sample
-    /// or walking the batch in reverse order reproduces bit-identical
-    /// labels and scores, and the plane-batch accuracy equals the direct
-    /// dataset walk.
+    /// Every classification is a pure function of its `(seed, sample)`
+    /// coordinates — replaying a sample or walking the batch in reverse
+    /// order reproduces bit-identical labels and scores, and the
+    /// plane-batch accuracy equals the direct dataset walk.
     #[test]
     fn counter_mode_is_pure_and_order_free() {
         let h = hw(16, 16, 4.0, 8);
         let spec = NetSpec::mlp(&[1, 16, 16], &[32], 10);
         let model = spec.build_software(&h, 3);
         let packed = deploy(&spec, &model, &h).unwrap().to_packed();
-        let tables = packed.stochastic_tables_mode(&VariationModel::nominal(), RngMode::Counter);
-        assert_eq!(tables.mode(), RngMode::Counter);
+        let tables = packed.stochastic_tables(&VariationModel::nominal());
         let data = bnn_datasets::digits::generate_digits(&bnn_datasets::SynthConfig {
             samples_per_class: 2,
             ..Default::default()
@@ -1141,61 +788,7 @@ mod tests {
         );
     }
 
-    /// Statistical equivalence at matrix level: over many trials on a wide
-    /// gray-zone, each channel's empirical one-rate under counter streams
-    /// tracks the seed-matched rate (same quantized Bernoulli laws; the
-    /// draws differ, the distribution must not).
-    #[test]
-    fn counter_mode_matches_seed_matched_statistics() {
-        let h = hw(8, 4, 8.0, 16);
-        let (fan_in, out) = (70, 6);
-        let signs = pseudo_signs(fan_in * out, 1);
-        let vth: Vec<f64> = (0..out).map(|o| o as f64 * 0.3 - 0.7).collect();
-        let flips: Vec<bool> = (0..out).map(|o| o % 3 == 0).collect();
-        let m = TiledMatrix::new(&signs, fan_in, out, vth, flips, &h);
-        let packed = PackedTiledMatrix::from_tiled(&m);
-        let tables = packed.stochastic_tables(&VariationModel::nominal());
-        let input: Vec<Bit> = (0..fan_in)
-            .map(|i| Bit::from_bool((i * 13 + 7) % 3 == 0))
-            .collect();
-        let plane = BitPlane::from_bits(&input);
-        let trials = 400usize;
-        let mut sm = vec![0u32; out];
-        let mut rng = DeviceRng::seed_from_u64(17);
-        for _ in 0..trials {
-            for (c, b) in packed
-                .forward_stochastic(&tables, &plane, &mut rng)
-                .to_bits()
-                .iter()
-                .enumerate()
-            {
-                sm[c] += b.as_bool() as u32;
-            }
-        }
-        let mut ct = vec![0u32; out];
-        let root = CounterStream::from_seed(17);
-        for t in 0..trials {
-            for (c, b) in packed
-                .forward_stochastic_ctr(&tables, &plane, &root.derive(t as u64))
-                .to_bits()
-                .iter()
-                .enumerate()
-            {
-                ct[c] += b.as_bool() as u32;
-            }
-        }
-        for c in 0..out {
-            let diff = (sm[c] as f64 - ct[c] as f64).abs() / trials as f64;
-            assert!(
-                diff <= 0.12,
-                "channel {c}: seed-matched rate {} vs counter rate {}",
-                sm[c] as f64 / trials as f64,
-                ct[c] as f64 / trials as f64
-            );
-        }
-    }
-
-    /// In the gray-zone → 0 limit the counter engine also collapses onto
+    /// In the gray-zone → 0 limit the packed engine also collapses onto
     /// the digital decision rule: saturated tables pin every window, so no
     /// counter draws happen at all.
     #[test]
@@ -1222,8 +815,8 @@ mod tests {
         }
     }
 
-    /// Dead columns in counter mode pin the window at the source: the
-    /// stuck channel reads its fabrication constant for every stream.
+    /// Dead columns pin the window at the source: the stuck channel reads
+    /// its fabrication constant for every stream.
     #[test]
     fn counter_mode_dead_columns_read_their_constant() {
         let h = hw(64, 8, 8.0, 16);
@@ -1251,15 +844,17 @@ mod tests {
         }
     }
 
-    /// The plane-batch seed-matched accuracy is RNG-identical to the
-    /// dataset walk: same figure, same generator end state — the guarantee
-    /// that lets sweeps share one packed eval set across trials.
+    /// The plane-batch accuracy of the packed engine is draw-identical to
+    /// the scalar reference's dataset walk at the same seed — the
+    /// guarantee that lets sweeps share one packed eval set across trials
+    /// and still report what the scalar engine would.
     #[test]
     fn plane_batch_accuracy_is_rng_identical_to_the_dataset_walk() {
         let h = hw(16, 16, 4.0, 8);
         let spec = NetSpec::mlp(&[1, 16, 16], &[32], 10);
         let model = spec.build_software(&h, 5);
-        let packed = deploy(&spec, &model, &h).unwrap().to_packed();
+        let deployed = deploy(&spec, &model, &h).unwrap();
+        let packed = deployed.to_packed();
         let tables = packed.stochastic_tables(&VariationModel::nominal());
         let data = bnn_datasets::digits::generate_digits(&bnn_datasets::SynthConfig {
             samples_per_class: 2,
@@ -1268,49 +863,14 @@ mod tests {
         let planes: Vec<BitPlane> = (0..data.len())
             .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
             .collect();
-        let mut a = DeviceRng::seed_from_u64(5);
-        let mut b = DeviceRng::seed_from_u64(5);
         assert_eq!(
-            packed.accuracy_stochastic(&tables, &data, &mut a, None),
-            packed.accuracy_stochastic_planes(&tables, &planes, &data.labels, &mut b),
+            deployed.accuracy(&data, 5, None),
+            packed.accuracy_stochastic_planes_ctr(&tables, &planes, &data.labels, 5),
         );
-        assert_eq!(
-            a.gen::<u64>(),
-            b.gen::<u64>(),
-            "generator end states diverge"
-        );
-    }
-
-    /// Mode mismatches are rejected loudly: counter entry points refuse
-    /// seed-matched tables.
-    #[test]
-    #[should_panic(expected = "stochastic tables were built for")]
-    fn counter_entry_rejects_seed_matched_tables() {
-        let h = hw(16, 16, 4.0, 8);
-        let spec = NetSpec::mlp(&[1, 16, 16], &[32], 10);
-        let model = spec.build_software(&h, 3);
-        let packed = deploy(&spec, &model, &h).unwrap().to_packed();
-        let tables = packed.stochastic_tables(&VariationModel::nominal());
-        let plane = BitPlane::zeros(16 * 16);
-        packed.classify_stochastic_plane_ctr(&tables, &plane, &CounterStream::from_seed(1));
-    }
-
-    /// And the seed-matched entry points refuse counter tables.
-    #[test]
-    #[should_panic(expected = "stochastic tables were built for")]
-    fn seed_matched_entry_rejects_counter_tables() {
-        let h = hw(16, 16, 4.0, 8);
-        let spec = NetSpec::mlp(&[1, 16, 16], &[32], 10);
-        let model = spec.build_software(&h, 3);
-        let packed = deploy(&spec, &model, &h).unwrap().to_packed();
-        let tables = packed.stochastic_tables_mode(&VariationModel::nominal(), RngMode::Counter);
-        let plane = BitPlane::zeros(16 * 16);
-        let mut rng = DeviceRng::seed_from_u64(1);
-        packed.classify_stochastic_plane(&tables, &plane, &mut rng);
     }
 
     /// Variation threading: drifting the scalar model's operating
-    /// conditions equals parameterizing the packed tables — seed-matched.
+    /// conditions equals parameterizing the packed tables — flip for flip.
     #[test]
     fn variation_tables_match_varied_scalar_model() {
         let h = hw(16, 8, 2.4, 16);
@@ -1325,12 +885,12 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        let mut scalar_rng = DeviceRng::seed_from_u64(21);
-        let mut packed_rng = DeviceRng::seed_from_u64(21);
+        let root = CounterStream::from_seed(21);
         for i in 0..data.len() {
+            let stream = root.derive(i as u64);
             assert_eq!(
-                packed.classify_stochastic(&tables, &data.images, i, &mut packed_rng),
-                varied.classify(&data.images, i, &mut scalar_rng),
+                packed.classify_stochastic_ctr(&tables, &data.images, i, &stream),
+                varied.classify(&data.images, i, &stream),
                 "sample {i}"
             );
         }

@@ -27,8 +27,8 @@
 //!
 //! The stochastic engine is checked in its **digital limit**: tables
 //! built at gray-zone width 0 ([`VariationModel`] scale 0) make every
-//! Bernoulli window saturate, the sampler consumes no RNG draws, and the
-//! datapath must collapse to the digital decision rule exactly.
+//! Bernoulli window saturate, so no window draws from its counter stream
+//! and the datapath must collapse to the digital decision rule exactly.
 //!
 //! A fifth axis, [`Engine::PackedDelta`], covers the event-driven
 //! fault-cone engine ([`crate::deploy::delta`]): fault-free it collapses
@@ -43,9 +43,9 @@ use crate::deploy::{
     PackedTiledMatrix, TiledMatrix,
 };
 use aqfp_crossbar::faults::{enumerate_fault_universe, PatchJournal, StructuralFault};
-use aqfp_device::{Bit, VariationModel};
+use aqfp_device::VariationModel;
 use aqfp_sc::bitplane::packed_im2col;
-use aqfp_sc::{random_probe_plane, BitPlane, PackedMatrix, V256};
+use aqfp_sc::{random_probe_plane, BitPlane, CounterStream, PackedMatrix, V256};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -324,10 +324,9 @@ impl DieChecker {
                 matrix_column(&packed.forward_matrix_as::<V256>(&batch), 0)
             }
             Engine::StochasticLimit => {
-                // The zero-width tables saturate every window: no draws
-                // are consumed, so the fixed seed is inert.
-                let mut rng = StdRng::seed_from_u64(0);
-                packed.forward_stochastic(tables, input, &mut rng)
+                // The zero-width tables saturate every window: nothing is
+                // drawn, so the fixed stream is inert.
+                packed.forward_stochastic_ctr(tables, input, &CounterStream::from_seed(0))
             }
         }
     }
@@ -636,14 +635,14 @@ impl ModelChecker {
             }
             Engine::StochasticLimit => {
                 let zero = zero_variation();
-                let mut rng = StdRng::seed_from_u64(0);
+                let stream = CounterStream::from_seed(0);
                 let mut act = act;
                 let mut shape = shape;
                 for layer in &self.packed.layers()[start..end] {
                     match layer {
                         PackedLayer::Linear(l) => {
                             let tables = l.matrix().stochastic_tables(&zero);
-                            act = l.matrix().forward_stochastic(&tables, &act, &mut rng);
+                            act = l.matrix().forward_stochastic_ctr(&tables, &act, &stream);
                             shape = [l.matrix().out(), 1, 1];
                         }
                         PackedLayer::Conv(c) => {
@@ -659,10 +658,10 @@ impl ModelChecker {
                             let [oc, oh, ow] = out_shape;
                             let mut out = BitPlane::zeros(oc * oh * ow);
                             for a in 0..fields.rows() {
-                                let bits = c.matrix().forward_stochastic(
+                                let bits = c.matrix().forward_stochastic_ctr(
                                     &tables,
                                     &fields.row_plane(a),
-                                    &mut rng,
+                                    &stream,
                                 );
                                 for ch in 0..oc {
                                     if bits.get(ch) {
@@ -789,15 +788,11 @@ impl ModelChecker {
     }
 }
 
-/// Converts a `±1` bit vector to the `Bit` domain — test/report helper.
-pub fn bits_of(plane: &BitPlane) -> Vec<Bit> {
-    plane.to_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HardwareConfig;
+    use aqfp_device::Bit;
 
     fn die(fan_in: usize, out: usize, rows: usize, cols: usize, seed: u64) -> TiledMatrix {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -146,8 +146,11 @@ pub fn bitstream_sweep(
                 ..hw
             };
             let deployed = deploy(&spec, &model, &hw_l).expect("spec matches model");
-            let mut rng = DeviceRng::seed_from_u64(scale.seed ^ (len as u64) << 8 ^ cs as u64);
-            let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+            let accuracy = deployed.accuracy(
+                &test,
+                scale.seed ^ (len as u64) << 8 ^ cs as u64,
+                Some(scale.eval_samples),
+            );
             out.push(BitstreamPoint {
                 crossbar: cs,
                 bitstream_len: len,
@@ -190,8 +193,11 @@ pub fn grid_sweep(
             };
             let (model, _) = train_model(&spec, &hw, scale, &train);
             let deployed = deploy(&spec, &model, &hw).expect("spec matches model");
-            let mut rng = DeviceRng::seed_from_u64(scale.seed ^ (gz.to_bits() >> 3) ^ cs as u64);
-            let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+            let accuracy = deployed.accuracy(
+                &test,
+                scale.seed ^ (gz.to_bits() >> 3) ^ cs as u64,
+                Some(scale.eval_samples),
+            );
             out.push(GridPoint {
                 crossbar: cs,
                 grayzone_ua: gz,
@@ -247,8 +253,11 @@ pub fn table2_ours(scale: &ExperimentScale, configs: &[(usize, f64, usize)]) -> 
             let trainer = Trainer::new(scale.train_config());
             let software_accuracy = trainer.evaluate(&mut model, &test);
             let deployed = deploy(&spec, &model, &hw).expect("spec matches model");
-            let mut rng = DeviceRng::seed_from_u64(scale.seed ^ (cs * 131 + len) as u64);
-            let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+            let accuracy = deployed.accuracy(
+                &test,
+                scale.seed ^ (cs * 131 + len) as u64,
+                Some(scale.eval_samples),
+            );
             OursRow {
                 label: format!("Ours (VGG-Small, {cs}x{cs}, ΔI={grayzone_ua}µA, L={len})"),
                 crossbar: cs,
@@ -282,8 +291,7 @@ pub fn table3_ours(scale: &ExperimentScale) -> OursRow {
     let trainer = Trainer::new(scale.train_config());
     let software_accuracy = trainer.evaluate(&mut model, &test);
     let deployed = deploy(&spec, &model, &hw).expect("spec matches model");
-    let mut rng = DeviceRng::seed_from_u64(scale.seed ^ 0xAB);
-    let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+    let accuracy = deployed.accuracy(&test, scale.seed ^ 0xAB, Some(scale.eval_samples));
     OursRow {
         label: "Ours (MLP)".to_string(),
         crossbar: hw.crossbar_rows,
@@ -359,9 +367,9 @@ pub fn fault_sweep(scale: &ExperimentScale, rates: &[f64]) -> Vec<FaultPoint> {
             let mut deployed = deploy(&spec, &model, &hw).expect("spec matches model");
             let fm = aqfp_crossbar::faults::FaultModel::new(rate, rate / 10.0)
                 .expect("sweep rates are probabilities");
-            let mut rng = DeviceRng::seed_from_u64(scale.seed ^ rate.to_bits());
-            let defects = deployed.inject_faults(&fm, &mut rng);
-            let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+            let seed = scale.seed ^ rate.to_bits();
+            let defects = deployed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(seed));
+            let accuracy = deployed.accuracy(&test, seed, Some(scale.eval_samples));
             FaultPoint {
                 stuck_cell_rate: rate,
                 defects,
@@ -426,8 +434,8 @@ pub fn robustness_campaign(
 /// the (class-grouped) test split so a truncated per-trial evaluation of
 /// `eval_samples` covers every class. Split out so campaign drivers that
 /// measure several sweep configurations over the same workload (e.g. the
-/// robustness bench timing both [`RngMode`](crate::deploy::RngMode)
-/// disciplines) train once instead of once per campaign.
+/// robustness bench timing its digital and stochastic campaigns) train
+/// once instead of once per campaign.
 pub fn robustness_workload(
     scale: &ExperimentScale,
     workload: RobustnessWorkload,
@@ -499,8 +507,8 @@ pub fn temperature_sweep(scale: &ExperimentScale, temperatures_k: &[f64]) -> Vec
                 ..hw_train
             };
             let deployed = deploy(&spec, &model, &hw).expect("spec matches model");
-            let mut rng = DeviceRng::seed_from_u64(scale.seed ^ t.to_bits());
-            let accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+            let accuracy =
+                deployed.accuracy(&test, scale.seed ^ t.to_bits(), Some(scale.eval_samples));
             TemperaturePoint {
                 temperature_k: t,
                 grayzone_ua,
@@ -540,16 +548,14 @@ pub fn ablation_aware_training(scale: &ExperimentScale) -> AwareAblation {
     let mut aware_model = spec.build_software(&hw, scale.seed);
     trainer.train(&mut aware_model, &train);
     let deployed = deploy(&spec, &aware_model, &hw).expect("spec matches model");
-    let mut rng = DeviceRng::seed_from_u64(scale.seed ^ 0x11);
-    let aware_accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+    let aware_accuracy = deployed.accuracy(&test, scale.seed ^ 0x11, Some(scale.eval_samples));
 
     // Naive: identical spec/seed/recipe but the conventional deterministic
     // sign/STE binarizer — what a non-co-designed flow would produce.
     let mut naive_model = spec.build_software_with(bnn_nn::Binarizer::Deterministic, scale.seed);
     trainer.train(&mut naive_model, &train);
     let deployed = deploy(&spec, &naive_model, &hw).expect("spec matches model");
-    let mut rng = DeviceRng::seed_from_u64(scale.seed ^ 0x11);
-    let naive_accuracy = deployed.accuracy(&test, &mut rng, Some(scale.eval_samples));
+    let naive_accuracy = deployed.accuracy(&test, scale.seed ^ 0x11, Some(scale.eval_samples));
 
     AwareAblation {
         aware_accuracy,
@@ -603,8 +609,7 @@ pub fn ablation_approx_counter(scale: &ExperimentScale) -> ApproxCounterAblation
     let (model, _) = train_model(&spec, &hw_exact, scale, &train);
     let run = |hw: &HardwareConfig| {
         let deployed = deploy(&spec, &model, hw).expect("spec matches model");
-        let mut rng = DeviceRng::seed_from_u64(scale.seed ^ 0xA9C);
-        deployed.accuracy(&test, &mut rng, Some(scale.eval_samples))
+        deployed.accuracy(&test, scale.seed ^ 0xA9C, Some(scale.eval_samples))
     };
     ApproxCounterAblation {
         exact_accuracy: run(&hw_exact),

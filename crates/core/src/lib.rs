@@ -50,9 +50,7 @@
 //! let trainer = Trainer::new(TrainConfig { epochs: 1, ..Default::default() });
 //! trainer.train(&mut net, &train);
 //! let deployed = deploy(&spec, &net, &hw).unwrap();
-//! use aqfp_device::SeedableRng;
-//! let mut rng = aqfp_device::DeviceRng::seed_from_u64(1);
-//! let acc = deployed.accuracy(&test, &mut rng, None);
+//! let acc = deployed.accuracy(&test, 1, None); // SC noise keyed on seed 1
 //! assert!((0.0..=1.0).contains(&acc));
 //! ```
 

@@ -47,28 +47,19 @@
 //! [`SweepConfig::with_variation_grid`]: the grid becomes the cartesian
 //! product *variation × fault rate*, and trials evaluate through the
 //! **packed stochastic engine**
-//! ([`PackedModel::accuracy_stochastic`]) — the only engine that can see
-//! a finite gray-zone — with per-stage flip tables built once per
-//! operating condition and shared by every trial at that condition. The
-//! per-trial RNG first draws the fault pattern, then drives the SC noise
-//! of the evaluation, so a trial captures both die-to-die defect and
-//! cycle-to-cycle switching randomness from one seed. Packed stochastic
-//! inference is seed-matched with the scalar `DeployedModel::classify`
-//! reference (same draws, same flips), keeping the "what the slow engine
-//! would report" guarantee on this axis too.
-//!
-//! # The RNG-mode axis
-//!
-//! Seed-matched evaluation is the oracle, not the fastest mode: its SC
-//! noise is one serial draw chain per trial. [`SweepConfig::with_rng_mode`]
-//! switches stochastic trials to [`RngMode::Counter`]
-//! ([`PackedModel::accuracy_stochastic_planes_ctr`]): trial `t` still
-//! draws its *fault pattern* from `campaign_seed ^ t` exactly as before
-//! (fault draws are identical in both modes), but the SC noise comes from
-//! keyed counter streams rooted at the same trial seed — statistically
-//! equivalent distributions, bit-reproducible across worker counts and
-//! evaluation orders by construction, and free of the serial-chain
-//! throughput floor.
+//! ([`PackedModel::accuracy_stochastic_planes_ctr`]) — the only fast
+//! engine that can see a finite gray-zone — with per-stage flip tables
+//! built once per operating condition and shared by every trial at that
+//! condition. Trial `t` draws its fault pattern from a serial generator
+//! seeded `campaign_seed ^ t`; its SC switching noise comes from keyed
+//! counter streams rooted at the same seed, so one seed captures both
+//! die-to-die defect and cycle-to-cycle switching randomness. Every
+//! observation window is a pure function of its coordinates, so trials
+//! are bit-reproducible across worker counts and evaluation orders, and
+//! the packed engine draws exactly the windows the scalar
+//! `DeployedModel::classify` reference draws from the same stream —
+//! keeping the "what the slow engine would report" guarantee on this axis
+//! too.
 
 use crate::deploy::{ActivationCache, BitMap, DirtyChannels, PackedModel, RngMode};
 use aqfp_crossbar::faults::{FaultModel, PatchJournal};
@@ -97,10 +88,6 @@ pub struct SweepConfig {
     pub eval_samples: Option<usize>,
     /// Worker threads trials are fanned across.
     pub workers: usize,
-    /// How stochastic trials draw their SC noise: the seed-matched serial
-    /// oracle (default) or order-free keyed counter streams. Digital
-    /// (fault-only) campaigns draw no SC noise and ignore this.
-    pub rng_mode: RngMode,
 }
 
 impl SweepConfig {
@@ -114,7 +101,6 @@ impl SweepConfig {
             campaign_seed,
             eval_samples: None,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            rng_mode: RngMode::SeedMatched,
         }
     }
 
@@ -172,12 +158,10 @@ impl SweepConfig {
         self
     }
 
-    /// Selects the stochastic trials' RNG discipline (see [`RngMode`]).
-    /// Fault draws are unaffected: trial `t` injects the identical defect
-    /// pattern in both modes.
+    /// Names the stochastic trials' RNG discipline. Counter streams are
+    /// the only one (see [`RngMode`]), so the configuration is unchanged.
     #[must_use]
-    pub fn with_rng_mode(mut self, mode: RngMode) -> Self {
-        self.rng_mode = mode;
+    pub fn with_rng_mode(self, _mode: RngMode) -> Self {
         self
     }
 
@@ -338,11 +322,9 @@ pub fn interleaved_eval_set(data: &Dataset, n: Option<usize>) -> Dataset {
 /// points become every `variation × fault rate` pair (variation-major
 /// order) and trials evaluate through the packed **stochastic** engine:
 /// per-condition flip tables are built once up front and shared across
-/// trials. In the default [`RngMode::SeedMatched`] each trial's RNG
-/// drives first the fault draw, then the SC switching noise of the
-/// evaluation — flip-for-flip what the scalar reference would report. In
-/// [`RngMode::Counter`] the fault draw is unchanged but the SC noise
-/// comes from keyed counter streams rooted at the trial seed.
+/// trials. Each trial's serial RNG draws the faults; its SC switching
+/// noise comes from keyed counter streams rooted at the trial seed —
+/// flip-for-flip what the scalar reference would report.
 ///
 /// # Panics
 /// Panics if the grid or `data` is empty or `trials == 0`.
@@ -358,10 +340,9 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
     let tables: Vec<crate::deploy::StochasticTables> = cfg
         .variations
         .iter()
-        .map(|vm| packed.stochastic_tables_mode(vm, cfg.rng_mode))
+        .map(|vm| packed.stochastic_tables(vm))
         .collect();
-    // The eval set is packed once for the whole campaign; plane packing
-    // consumes no RNG, so sharing it is invisible to seed-matched trials.
+    // The eval set is packed once for the whole campaign.
     let planes: Vec<BitPlane> = (0..eval_samples)
         .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
         .collect();
@@ -415,14 +396,7 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
                     let draws = m.draw_faults(&cfg.grid[point % points_per_cond], &mut rng);
                     let defects = m.apply_draws_journaled(&draws, &mut journal);
                     let accuracy = match tables.get(point / points_per_cond) {
-                        Some(t) => match cfg.rng_mode {
-                            RngMode::SeedMatched => {
-                                m.accuracy_stochastic_planes(t, planes, labels, &mut rng)
-                            }
-                            RngMode::Counter => {
-                                m.accuracy_stochastic_planes_ctr(t, planes, labels, seed)
-                            }
-                        },
+                        Some(t) => m.accuracy_stochastic_planes_ctr(t, planes, labels, seed),
                         None => {
                             let cache = cache.expect("digital campaigns build a cache");
                             let dirty = DirtyChannels::from_draws(&m, &draws);
@@ -468,11 +442,11 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
 mod tests {
     use super::*;
     use crate::config::HardwareConfig;
-    use crate::deploy::deploy;
+    use crate::deploy::{deploy, DeployedModel};
     use crate::spec::NetSpec;
     use bnn_datasets::{digits::generate_digits, SynthConfig};
 
-    fn tiny_campaign_model() -> (PackedModel, Dataset) {
+    fn tiny_campaign_deployment() -> (DeployedModel, Dataset) {
         let hw = HardwareConfig {
             crossbar_rows: 8,
             crossbar_cols: 8,
@@ -485,6 +459,11 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
+        (deployed, data)
+    }
+
+    fn tiny_campaign_model() -> (PackedModel, Dataset) {
+        let (deployed, data) = tiny_campaign_deployment();
         (deployed.to_packed(), data)
     }
 
@@ -598,24 +577,26 @@ mod tests {
 
     #[test]
     fn stochastic_trials_reproduce_the_direct_evaluation() {
-        // A sweep trial = inject faults, then evaluate stochastically,
-        // all from one seed; replaying that recipe by hand must give the
-        // identical accuracy.
-        let (packed, data) = tiny_campaign_model();
+        // A stochastic trial = inject faults from the trial seed, then
+        // evaluate under SC noise keyed on the same seed. Replaying that
+        // recipe on the scalar reference — faults on the deployed
+        // crossbars, variation on their operating conditions — must give
+        // the identical defect count and accuracy.
+        let (deployed, data) = tiny_campaign_deployment();
+        let packed = deployed.to_packed();
+        let vm = VariationModel::grayzone_scale_only(2.0).unwrap();
         let cfg = SweepConfig::stuck_cell_grid(&[0.2], 2, 77)
             .unwrap()
             .with_eval_samples(Some(10))
-            .with_grayzone_scales(&[2.0])
-            .unwrap();
+            .with_variation_grid(vec![vm]);
         let report = run_sweep(&packed, &data, &cfg);
-        let tables = packed.stochastic_tables(&VariationModel::grayzone_scale_only(2.0).unwrap());
         for t in &report.points[0].trials {
-            let mut m = packed.clone();
-            let mut rng = DeviceRng::seed_from_u64(t.seed);
-            let defects = m.inject_faults(&cfg.grid[0], &mut rng);
+            let mut scalar = deployed.clone();
+            let defects = scalar.inject_faults(&cfg.grid[0], &mut DeviceRng::seed_from_u64(t.seed));
             assert_eq!(defects, t.defects);
+            scalar.apply_variation(&vm);
             assert_eq!(
-                m.accuracy_stochastic(&tables, &data, &mut rng, Some(10)),
+                scalar.accuracy(&data, t.seed, Some(10)),
                 t.accuracy,
                 "trial {}",
                 t.trial
@@ -650,8 +631,7 @@ mod tests {
             .unwrap()
             .with_eval_samples(Some(10))
             .with_grayzone_scales(&[1.0, 2.0])
-            .unwrap()
-            .with_rng_mode(RngMode::Counter);
+            .unwrap();
         let a = run_sweep(&packed, &data, &cfg.clone().with_workers(1).unwrap());
         let b = run_sweep(&packed, &data, &cfg.clone().with_workers(4).unwrap());
         let c = run_sweep(&packed, &data, &cfg.with_workers(3).unwrap());
@@ -670,15 +650,12 @@ mod tests {
             .unwrap()
             .with_eval_samples(Some(10))
             .with_grayzone_scales(&[2.0])
-            .unwrap()
-            .with_rng_mode(RngMode::Counter);
+            .unwrap();
         let report = run_sweep(&packed, &data, &cfg);
         let eval = {
             // The sweep evaluates the first 10 samples of `data`.
-            let tables = packed.stochastic_tables_mode(
-                &VariationModel::grayzone_scale_only(2.0).unwrap(),
-                RngMode::Counter,
-            );
+            let tables =
+                packed.stochastic_tables(&VariationModel::grayzone_scale_only(2.0).unwrap());
             move |m: &PackedModel, seed: u64| {
                 m.accuracy_stochastic_ctr(&tables, &data, seed, Some(10))
             }
@@ -689,32 +666,6 @@ mod tests {
             let defects = m.inject_faults(&cfg.grid[0], &mut rng);
             assert_eq!(defects, t.defects);
             assert_eq!(eval(&m, t.seed), t.accuracy, "trial {}", t.trial);
-        }
-    }
-
-    #[test]
-    fn counter_statistics_track_the_seed_matched_oracle() {
-        // Same campaign, both RNG disciplines: the per-point mean
-        // accuracies must agree within Monte Carlo tolerance (the modes
-        // share fault patterns and Bernoulli laws, not flips).
-        let (packed, data) = tiny_campaign_model();
-        let base = SweepConfig::stuck_cell_grid(&[0.0, 0.05], 4, 17)
-            .unwrap()
-            .with_grayzone_scales(&[1.0])
-            .unwrap();
-        let sm = run_sweep(&packed, &data, &base);
-        let ct = run_sweep(&packed, &data, &base.with_rng_mode(RngMode::Counter));
-        for (a, b) in sm.points.iter().zip(&ct.points) {
-            assert!(
-                (a.mean_accuracy - b.mean_accuracy).abs() <= 0.15,
-                "seed-matched mean {} vs counter mean {}",
-                a.mean_accuracy,
-                b.mean_accuracy
-            );
-            // Fault draws are identical in both modes.
-            for (x, y) in a.trials.iter().zip(&b.trials) {
-                assert_eq!(x.defects, y.defects, "trial {}", x.trial);
-            }
         }
     }
 

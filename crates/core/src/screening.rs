@@ -40,6 +40,7 @@
 //! it perturbs the scores even when the argmax survives — a far more
 //! sensitive screen than label agreement alone.
 
+use crate::deploy::snapshot::shape_volume;
 use crate::deploy::{ActivationCache, DirtyChannels, PackedModel, SnapshotError};
 use aqfp_crossbar::faults::{
     fault_universe_size, FaultKind, InjectedFaults, PatchJournal, StructuralFault,
@@ -739,35 +740,33 @@ impl ProbeSet {
         for d in &mut input_shape {
             *d = get_len(r, "input shape dimension")?;
         }
-        let len: usize = input_shape.iter().product();
-        if len == 0 {
-            return Err(SnapshotError::Corrupt("empty input shape"));
-        }
+        let len =
+            shape_volume(input_shape).ok_or(SnapshotError::Corrupt("input shape out of range"))?;
         let n = get_len(r, "probe count")?;
         let classes = get_len(r, "class count")?;
         let words = len.div_ceil(64);
-        let mut planes = Vec::with_capacity(n);
+        // Every vector below grows with the data actually read, never
+        // reserved from a declared count.
+        let mut planes = Vec::new();
         for _ in 0..n {
-            let mut buf = vec![0u64; words];
-            for w in &mut buf {
-                *w = get_u64(r)?;
-            }
+            let buf = (0..words)
+                .map(|_| get_u64(r))
+                .collect::<Result<Vec<_>, _>>()?;
             let rem = len % 64;
             if rem > 0 && buf[words - 1] >> rem != 0 {
                 return Err(SnapshotError::Corrupt("probe plane tail bits set"));
             }
             planes.push(BitPlane::from_words(buf, len));
         }
-        let mut golden = Vec::with_capacity(n);
+        let mut golden = Vec::new();
         for _ in 0..n {
             let label = get_len(r, "golden label")?;
             if label >= classes.max(1) {
                 return Err(SnapshotError::Corrupt("golden label out of range"));
             }
-            let mut scores = Vec::with_capacity(classes);
-            for _ in 0..classes {
-                scores.push(f32::from_bits(get_u32(r)?));
-            }
+            let scores = (0..classes)
+                .map(|_| get_u32(r).map(f32::from_bits))
+                .collect::<Result<Vec<_>, _>>()?;
             golden.push((label, scores));
         }
         Ok(Self {
@@ -1022,6 +1021,31 @@ mod tests {
             generate_probes(&packed, &planes, &cfg).err()
         });
         assert_eq!(masked, Some(ScreeningError::MaskedFaultUniverse));
+    }
+
+    /// Header-only probe files whose declared shape is beyond the cap:
+    /// `[2²⁸, 2²⁸, 128]` (a 2⁶³-bit plane) and `[2²⁸, 2²⁸, 2²⁸]` (a product
+    /// that overflows) decode to a typed error, not an allocation abort or
+    /// an overflow panic.
+    #[test]
+    fn oversized_probe_shapes_are_corrupt() {
+        for shape in [[1u64 << 28, 1 << 28, 128], [1 << 28, 1 << 28, 1 << 28]] {
+            let mut bytes = PROBESET_MAGIC.to_vec();
+            bytes.extend_from_slice(&PROBESET_VERSION.to_le_bytes());
+            for d in shape {
+                bytes.extend_from_slice(&d.to_le_bytes());
+            }
+            bytes.extend_from_slice(&1u64.to_le_bytes()); // one probe
+            bytes.extend_from_slice(&10u64.to_le_bytes()); // ten classes
+            assert_eq!(bytes.len(), 52);
+            assert!(
+                matches!(
+                    ProbeSet::read(&mut bytes.as_slice()),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "shape {shape:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example packed_deploy`
 
-use aqfp_device::{DeviceRng, SeedableRng};
 use bnn_datasets::{digits::generate_digits, SynthConfig};
 use std::time::Instant;
 use superbnn::config::HardwareConfig;
@@ -77,9 +76,8 @@ fn main() {
     // digital engines are the deterministic (gray-zone -> 0) limit, so a
     // gap against the stochastic engine is the accuracy the SC read-out
     // noise recovers from tile saturation.
-    let mut rng = DeviceRng::seed_from_u64(1);
     let start = Instant::now();
-    let acc_sto = deployed.accuracy(&test, &mut rng, None);
+    let acc_sto = deployed.accuracy(&test, 1, None);
     let t_sto = start.elapsed();
     println!("software model       : accuracy {:.1}%", 100.0 * software);
     println!(

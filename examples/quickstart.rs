@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use aqfp_device::{DeviceRng, SeedableRng};
 use bnn_datasets::{digits::generate_digits, SynthConfig};
 use superbnn::config::HardwareConfig;
 use superbnn::deploy::deploy;
@@ -72,8 +71,7 @@ fn main() {
     );
 
     // 5. Hardware-faithful evaluation.
-    let mut rng = DeviceRng::seed_from_u64(1);
-    let hw_acc = deployed.accuracy(&test, &mut rng, Some(200));
+    let hw_acc = deployed.accuracy(&test, 1, Some(200));
     println!("Software accuracy:          {:.1}%", 100.0 * sw_acc);
     println!("Hardware-faithful accuracy: {:.1}%", 100.0 * hw_acc);
 

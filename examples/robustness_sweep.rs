@@ -9,25 +9,21 @@
 //!    engine): every grid point pairs a device-parameter variation
 //!    (`scale × ΔIin`, via `VariationModel`) with a fabrication fault
 //!    rate, and each trial's seed drives both the fault draw and the SC
-//!    switching noise. The packed stochastic engine is seed-matched with
-//!    the scalar `DeployedModel::classify` reference (same draws, same
-//!    flips) at ~6× its speed — see `BENCH_stochastic.json`.
+//!    switching noise (keyed counter streams rooted at the trial seed).
+//!    The packed stochastic engine draws exactly the windows of the scalar
+//!    `DeployedModel::classify` reference (same coordinates, same flips)
+//!    at many times its speed — see `BENCH_stochastic.json`.
 //! 2. **Fault-only** (objects VGG, packed *digital* engine): the
 //!    gray-zone → 0 limit at full XNOR–popcount throughput.
 //!
 //! Run with:
-//! `cargo run --release --example robustness_sweep -- [--trials N] [--eval N]
-//! [--rng-mode seed-matched|counter]`
-//! (CI smoke runs `--trials 4` on a tiny grid, once per RNG mode.)
+//! `cargo run --release --example robustness_sweep -- [--trials N] [--eval N]`
+//! (CI smoke runs `--trials 4` on a tiny grid.)
 //!
-//! `--rng-mode` picks the stochastic campaign's noise discipline:
-//! `seed-matched` (default) replays the scalar engine's serial draw
-//! chain; `counter` derives every draw from its coordinates on a keyed
-//! counter stream — same statistics, no serial RNG floor, and results
-//! independent of worker count and trial order.
+//! Every SC draw is derived from its coordinates on a keyed counter
+//! stream, so results are independent of worker count and trial order.
 
 use std::time::Instant;
-use superbnn::deploy::RngMode;
 use superbnn::experiments::{robustness_campaign, ExperimentScale, RobustnessWorkload};
 use superbnn::robustness::{RobustnessReport, SweepConfig};
 
@@ -69,16 +65,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trials = parse_flag(&args, "--trials", 8);
     let eval = parse_flag(&args, "--eval", 30);
-    let rng_mode = match args
-        .iter()
-        .position(|a| a == "--rng-mode")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("seed-matched") => RngMode::SeedMatched,
-        Some("counter") => RngMode::Counter,
-        Some(other) => panic!("--rng-mode wants seed-matched or counter, got {other}"),
-    };
 
     // Demo scale: small datasets and short training keep the focus on the
     // sweeps themselves (the benches run the ≥100-trial campaigns).
@@ -101,12 +87,10 @@ fn main() {
         .expect("rates are probabilities")
         .with_eval_samples(Some(eval))
         .with_grayzone_scales(&grayzone_scales)
-        .expect("scales are non-negative")
-        .with_rng_mode(rng_mode);
+        .expect("scales are non-negative");
     println!(
         "=== digits MLP: gray-zone width x fault rate (packed stochastic engine) ===\n\
-         {} scales x {} rates x {trials} trials, {eval} eval samples, {} workers, \
-         rng_mode {rng_mode:?}",
+         {} scales x {} rates x {trials} trials, {eval} eval samples, {} workers",
         grayzone_scales.len(),
         rates.len(),
         cfg.workers

@@ -7,7 +7,8 @@
 //! decision, OR/AND pooling equals max-pooling, and the popcount classifier
 //! equals the binary linear head.
 
-use aqfp_device::{DeviceRng, SeedableRng};
+use aqfp_device::SeedableRng;
+use aqfp_sc::CounterStream;
 use bnn_datasets::{digits::generate_digits, SynthConfig};
 use bnn_nn::layers::Mode;
 use bnn_nn::{NnRng, Sequential};
@@ -62,10 +63,10 @@ fn deterministic_single_tile_mlp_matches_software_exactly() {
 
     let deployed = deploy(&spec, &model, &hw).expect("deploys");
     let sw = software_predictions(&mut model, &data.images, data.len());
-    let mut rng = DeviceRng::seed_from_u64(3);
+    let root = CounterStream::from_seed(3);
     let mut disagreements = 0usize;
     for (i, &want) in sw.iter().enumerate() {
-        let (got, _) = deployed.classify(&data.images, i, &mut rng);
+        let (got, _) = deployed.classify(&data.images, i, &root.derive(i as u64));
         if got != want {
             disagreements += 1;
         }
@@ -88,7 +89,7 @@ fn classifier_head_is_bit_exact() {
     let mut model = spec.build_software_with(bnn_nn::Binarizer::Deterministic, 5);
     let deployed = deploy(&spec, &model, &hw).expect("deploys");
 
-    let mut rng = DeviceRng::seed_from_u64(0);
+    let stream = CounterStream::from_seed(0);
     for pattern in 0..16u32 {
         let pixels: Vec<f32> = (0..4)
             .map(|i| if (pattern >> i) & 1 == 1 { 0.7 } else { -0.7 })
@@ -97,7 +98,7 @@ fn classifier_head_is_bit_exact() {
         let mut nrng = NnRng::seed_from_u64(0);
         let logits = model.forward(&images, Mode::Eval, &mut nrng);
         let want = logits.argmax_rows()[0];
-        let (got, scores) = deployed.classify(&images, 0, &mut rng);
+        let (got, scores) = deployed.classify(&images, 0, &stream);
         // Scores must match the logits exactly (same α/bias affine).
         for (s, l) in scores.iter().zip(logits.data()) {
             assert!((s - l).abs() < 1e-4, "score {s} vs logit {l}");
@@ -201,11 +202,16 @@ fn bn_matching_reproduces_folded_decisions_across_seeds() {
         .train(&mut model, &data);
         let deployed = deploy(&spec, &model, &hw).expect("deploys");
         let sw = software_predictions(&mut model, &data.images, data.len());
-        let mut rng = DeviceRng::seed_from_u64(9);
+        let root = CounterStream::from_seed(9);
         let agree = sw
             .iter()
             .enumerate()
-            .filter(|(i, &want)| deployed.classify(&data.images, *i, &mut rng).0 == want)
+            .filter(|(i, &want)| {
+                deployed
+                    .classify(&data.images, *i, &root.derive(*i as u64))
+                    .0
+                    == want
+            })
             .count();
         assert!(
             agree as f64 >= 0.95 * sw.len() as f64,

@@ -1,7 +1,7 @@
 //! End-to-end integration: train → BN-match → tile → deploy → infer, with
 //! the claims that define a working reproduction.
 
-use aqfp_device::{DeviceRng, SeedableRng};
+use aqfp_sc::CounterStream;
 use bnn_datasets::{digits::generate_digits, objects::generate_objects, SynthConfig};
 use superbnn::config::HardwareConfig;
 use superbnn::deploy::deploy;
@@ -45,8 +45,7 @@ fn vgg_learns_and_deploys_close_to_software() {
     assert!(software > 0.6, "software accuracy too low: {software}");
 
     let deployed = deploy(&spec, &model, &hw).expect("deploys");
-    let mut rng = DeviceRng::seed_from_u64(1);
-    let hardware = deployed.accuracy(&test, &mut rng, Some(80));
+    let hardware = deployed.accuracy(&test, 1, Some(80));
     assert!(hardware > 0.5, "deployed accuracy too low: {hardware}");
     // At the co-optimized point the deployment gap is bounded. (At the
     // full tablegen training budget the gap shrinks to a few points — see
@@ -95,10 +94,7 @@ fn longer_bitstreams_do_not_hurt() {
         };
         let deployed = deploy(&spec, &model, &hw_l).expect("deploys");
         (0..3)
-            .map(|seed| {
-                let mut rng = DeviceRng::seed_from_u64(2 + seed);
-                deployed.accuracy(&test, &mut rng, None)
-            })
+            .map(|seed| deployed.accuracy(&test, 2 + seed, None))
             .sum::<f64>()
             / 3.0
     };
@@ -155,8 +151,7 @@ fn end_to_end_digits_run_is_deterministic() {
         trainer.train(&mut model, &train);
         let software = trainer.evaluate(&mut model, &test);
         let deployed = deploy(&spec, &model, &hw).expect("deploys");
-        let mut rng = DeviceRng::seed_from_u64(11);
-        let hardware = deployed.accuracy(&test, &mut rng, None);
+        let hardware = deployed.accuracy(&test, 11, None);
         (software, hardware)
     };
     let (sw_a, hw_a) = run();
@@ -176,10 +171,8 @@ fn deployment_is_deterministic_given_seed() {
     let spec = NetSpec::mlp(&[1, 16, 16], &[32], 10);
     let model = spec.build_software(&hw, 9);
     let deployed = deploy(&spec, &model, &hw).unwrap();
-    let mut rng_a = DeviceRng::seed_from_u64(5);
-    let mut rng_b = DeviceRng::seed_from_u64(5);
-    let (a, sa) = deployed.classify(&data.images, 0, &mut rng_a);
-    let (b, sb) = deployed.classify(&data.images, 0, &mut rng_b);
+    let (a, sa) = deployed.classify(&data.images, 0, &CounterStream::from_seed(5));
+    let (b, sb) = deployed.classify(&data.images, 0, &CounterStream::from_seed(5));
     assert_eq!(a, b);
     assert_eq!(sa, sb);
 }

@@ -7,7 +7,7 @@ use aqfp_device::{Bit, GrayZone};
 use aqfp_netlist::balance::{balance, fanout_is_legal, is_balanced, legalize_fanout};
 use aqfp_netlist::random::{random_dag, RandomDagConfig};
 use aqfp_sc::number::parse_stream;
-use aqfp_sc::{Apc, BitPlane, Bitstream};
+use aqfp_sc::{Apc, BitPlane, Bitstream, CounterStream};
 use baselines::software::PackedVec;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -390,8 +390,6 @@ proptest! {
         hidden in 4usize..20,
         seed in 0u64..400,
     ) {
-        use aqfp_sc::CounterStream;
-        use superbnn::deploy::RngMode;
         let hw = HardwareConfig {
             crossbar_rows: rows,
             crossbar_cols: cols,
@@ -402,10 +400,7 @@ proptest! {
         let spec = NetSpec::mlp(&[1, 6, 6], &[hidden], 4);
         let model = spec.build_software(&hw, seed);
         let packed = deploy(&spec, &model, &hw).unwrap().to_packed();
-        let tables = packed.stochastic_tables_mode(
-            &aqfp_device::VariationModel::nominal(),
-            RngMode::Counter,
-        );
+        let tables = packed.stochastic_tables(&aqfp_device::VariationModel::nominal());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC7);
         let images = bnn_nn::Tensor::from_vec(
             &[3, 1, 6, 6],
@@ -614,12 +609,13 @@ proptest! {
         }
     }
 
-    /// The packed stochastic engine consumes the RNG exactly like the
-    /// scalar SC datapath: same seed ⇒ same per-element flip decisions ⇒
-    /// identical outputs — over ragged tile geometries, random thresholds,
-    /// flips, windows, gray-zone widths and fault draws.
+    /// The packed stochastic engine draws every observation window at the
+    /// scalar SC datapath's coordinates: same stream ⇒ same per-element
+    /// flip decisions ⇒ identical outputs — over ragged tile geometries,
+    /// random thresholds, flips, windows, gray-zone widths and fault
+    /// draws.
     #[test]
-    fn packed_stochastic_matrix_is_seed_matched_with_scalar(
+    fn packed_stochastic_matrix_matches_scalar_bit_for_bit(
         fan_in in 1usize..160,
         out in 1usize..14,
         rows in 1usize..40,
@@ -647,25 +643,23 @@ proptest! {
         }
         let packed = PackedTiledMatrix::from_tiled(&m);
         let tables = packed.stochastic_tables(&aqfp_device::VariationModel::nominal());
-        let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF1);
-        let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF1);
-        for _ in 0..3 {
+        let root = CounterStream::from_seed(seed ^ 0xF1);
+        for j in 0..3u64 {
             let input: Vec<Bit> = (0..fan_in).map(|_| Bit::from_bool(rng.gen())).collect();
-            let scalar = m.forward(&input, &mut scalar_rng);
-            let plane = packed.forward_stochastic(
+            let stream = root.derive(j);
+            let scalar = m.forward(&input, &stream);
+            let plane = packed.forward_stochastic_ctr(
                 &tables,
                 &BitPlane::from_bits(&input),
-                &mut packed_rng,
+                &stream,
             );
             prop_assert_eq!(plane.to_bits(), scalar);
         }
-        // The RNG streams stayed aligned through every draw.
-        prop_assert_eq!(scalar_rng.gen::<u64>(), packed_rng.gen::<u64>());
     }
 
-    /// In the gray-zone → 0 limit (variation width scale 0) the packed
-    /// stochastic engine is the digital engine, bit for bit, and touches
-    /// no RNG.
+    /// In the gray-zone → 0 limit (variation width scale 0) the scalar and
+    /// packed stochastic engines are the digital engine, bit for bit:
+    /// every window saturates, whatever the stream.
     #[test]
     fn packed_stochastic_zero_width_is_the_digital_engine(
         fan_in in 1usize..120,
@@ -686,24 +680,27 @@ proptest! {
         let packed = PackedTiledMatrix::from_tiled(&m);
         let zero = aqfp_device::VariationModel::new(0.0, 0.0, 0.0).unwrap();
         let tables = packed.stochastic_tables(&zero);
-        let mut draw_rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..3 {
+        let mut scalar = m.clone();
+        scalar.apply_variation(&zero);
+        let root = CounterStream::from_seed(seed ^ 0x2E);
+        for j in 0..3u64 {
             let input: Vec<Bit> = (0..fan_in).map(|_| Bit::from_bool(rng.gen())).collect();
-            let plane = packed.forward_stochastic(
+            let stream = root.derive(j);
+            let digital = m.forward_digital(&input);
+            let plane = packed.forward_stochastic_ctr(
                 &tables,
                 &BitPlane::from_bits(&input),
-                &mut draw_rng,
+                &stream,
             );
-            prop_assert_eq!(plane.to_bits(), m.forward_digital(&input));
+            prop_assert_eq!(plane.to_bits(), digital.clone());
+            prop_assert_eq!(scalar.forward(&input, &stream), digital);
         }
-        let mut untouched = rand::rngs::StdRng::seed_from_u64(1);
-        prop_assert_eq!(draw_rng.gen::<u64>(), untouched.gen::<u64>());
     }
 
-    /// Model level, dense pipeline: `PackedModel::classify_stochastic`
+    /// Model level, dense pipeline: `PackedModel::classify_stochastic_ctr`
     /// reproduces `DeployedModel::classify` — labels and scores — from the
-    /// same seed, including under device-parameter variation applied to
-    /// the scalar side.
+    /// same sample streams, including under device-parameter variation
+    /// applied to the scalar side.
     #[test]
     fn packed_stochastic_model_matches_scalar_classify(
         rows in 1usize..24,
@@ -737,21 +734,20 @@ proptest! {
             &[n, 1, 6, 6],
             (0..n * 36).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD0);
-        let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD0);
+        let root = CounterStream::from_seed(seed ^ 0xD0);
         for i in 0..n {
+            let stream = root.derive(i as u64);
             prop_assert_eq!(
-                packed.classify_stochastic(&tables, &images, i, &mut packed_rng),
-                deployed.classify(&images, i, &mut scalar_rng),
+                packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+                deployed.classify(&images, i, &stream),
                 "sample {}", i
             );
         }
     }
 
     /// Model level, conv pipeline (conv → pool → flatten → classifier):
-    /// the packed stochastic engine walks output pixels, tiles, columns
-    /// and cycles in the scalar order, so heterogeneous pipelines stay
-    /// seed-matched too.
+    /// both engines key output pixels on the same stage streams, so
+    /// heterogeneous pipelines stay flip-for-flip identical too.
     #[test]
     fn packed_stochastic_conv_model_matches_scalar_classify(
         out_c in 1usize..5,
@@ -791,12 +787,12 @@ proptest! {
             &[2, c, h, w],
             (0..2 * c * h * w).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xE0);
-        let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xE0);
+        let root = CounterStream::from_seed(seed ^ 0xE0);
         for i in 0..2 {
+            let stream = root.derive(i as u64);
             prop_assert_eq!(
-                packed.classify_stochastic(&tables, &images, i, &mut packed_rng),
-                deployed.classify(&images, i, &mut scalar_rng),
+                packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+                deployed.classify(&images, i, &stream),
                 "sample {}", i
             );
         }
@@ -1096,8 +1092,8 @@ fn paper_sn_examples_decode() {
 /// The approximate parallel counter's per-cycle error pattern depends on
 /// the bit layout *across* tiles, so the packed stochastic engine
 /// transposes its word-mask streams back into cycle words and mirrors
-/// `Apc::count_approx` — seed-matched with the scalar engine like the
-/// exact path.
+/// `Apc::count_approx` — flip-for-flip identical to the scalar engine like
+/// the exact path.
 #[test]
 fn packed_stochastic_matches_scalar_with_approximate_counter() {
     use aqfp_sc::accumulate::CounterKind;
@@ -1119,12 +1115,12 @@ fn packed_stochastic_matches_scalar_with_approximate_counter() {
         &[3, 1, 8, 8],
         (0..3 * 64).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
     );
-    let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(11);
-    let mut packed_rng = rand::rngs::StdRng::seed_from_u64(11);
+    let root = CounterStream::from_seed(11);
     for i in 0..3 {
+        let stream = root.derive(i as u64);
         assert_eq!(
-            packed.classify_stochastic(&tables, &images, i, &mut packed_rng),
-            deployed.classify(&images, i, &mut scalar_rng),
+            packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+            deployed.classify(&images, i, &stream),
             "sample {i}"
         );
     }

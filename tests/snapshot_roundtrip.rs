@@ -11,7 +11,9 @@ use aqfp_crossbar::faults::FaultModel;
 use aqfp_device::{DeviceRng, SeedableRng};
 use bnn_datasets::{digits::generate_digits, SynthConfig};
 use superbnn::config::HardwareConfig;
-use superbnn::deploy::{deploy, DeployedModel, PackedModel, SnapshotError};
+use superbnn::deploy::{
+    deploy, DeployedModel, PackedModel, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use superbnn::spec::NetSpec;
 use superbnn::trainer::{TrainConfig, Trainer};
 
@@ -223,4 +225,20 @@ fn corrupt_snapshots_error_cleanly() {
     let err = PackedModel::load_snapshot(&path).expect_err("padded file loaded");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, SnapshotError::Corrupt(_)), "got: {err}");
+}
+
+/// A 52-byte header whose input shape `[2²⁸, 2²⁸, 2²⁸]` overflows the
+/// element count decodes to a typed error, not an overflow panic.
+#[test]
+fn overflowing_input_shape_is_corrupt() {
+    let mut bytes = SNAPSHOT_MAGIC.to_vec();
+    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    for _ in 0..3 {
+        bytes.extend_from_slice(&(1u64 << 28).to_le_bytes());
+    }
+    bytes.resize(52, 0);
+    assert!(matches!(
+        PackedModel::read_snapshot(&mut bytes.as_slice()),
+        Err(SnapshotError::Corrupt(_))
+    ));
 }
