@@ -10,7 +10,8 @@
 //!
 //! The paper measures the curve on fabricated merging circuits and fits the
 //! constants; we adopt `A = 70 µA` (the drive amplitude, so a size-1 "array"
-//! is lossless) and `B = 0.6` (see DESIGN.md §2). This module also provides
+//! is lossless) and `B = 1.6` (see "Modelling substitutions" in
+//! `ARCHITECTURE.md`). This module also provides
 //! the same log-log least-squares fit the paper performs, so simulated
 //! "measurements" can be turned back into a model — used by the Fig. 5
 //! regeneration bench.

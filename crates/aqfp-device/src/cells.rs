@@ -6,7 +6,8 @@
 //! majority gates with a constant input, and splitters fan a signal out.
 //! Every gate occupies one clock phase (one "stage").
 //!
-//! JJ counts per cell are documented assumptions (DESIGN.md §5) consistent
+//! JJ counts per cell are documented assumptions ("Modelling substitutions"
+//! in `ARCHITECTURE.md`) consistent
 //! with the minimalist library: a buffer/inverter is a 2-junction SQUID;
 //! a majority (and hence AND/OR) is three input buffers merged into one
 //! output buffer minus shared bias, counted as 6 JJs; a 1-to-2 splitter is

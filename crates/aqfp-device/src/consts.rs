@@ -82,7 +82,7 @@ pub const ATTENUATION_A_UA: f64 = 70.0;
 /// and Fig. 10's strong bit-stream-length dependence cannot arise) — at the
 /// default 16-row crossbar, `ΔVin(16) ≈ 3` matches the `√16 = 4` standard
 /// deviation of a random ±1 partial sum; (c) the Fig. 11 accuracy cliff at
-/// large crossbar sizes. See DESIGN.md §2 for the substitution note.
+/// large crossbar sizes. See "Modelling substitutions" in `ARCHITECTURE.md`.
 pub const ATTENUATION_B: f64 = 1.6;
 
 #[cfg(test)]

@@ -68,13 +68,11 @@ fn main() {
     let loaded = PackedModel::load_snapshot(&path).expect("snapshot loads");
     let load = t0.elapsed();
     std::fs::remove_file(&path).ok();
-    for i in 0..n {
-        assert_eq!(
-            loaded.classify(&data.images, i),
-            packed.classify(&data.images, i),
-            "cold-started model diverged at sample {i}"
-        );
-    }
+    assert_eq!(
+        loaded.classify_batch(&data.images, None),
+        packed.classify_batch(&data.images, None),
+        "cold-started model diverged"
+    );
     println!(
         "snapshot cold start: {snapshot_bytes} bytes, save {:.2} ms, load {:.2} ms, bit-identical ({n} samples)",
         save.as_secs_f64() * 1e3,

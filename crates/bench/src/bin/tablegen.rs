@@ -18,68 +18,57 @@ use superbnn::experiments::{
     table2_resnet, table3_ours, temperature_sweep, ExperimentScale, TABLE2_CONFIGS,
 };
 
+/// A subcommand name and the generator it runs.
+type Artifact = (&'static str, fn(&ExperimentScale));
+
+/// Every artifact, in the order `all` regenerates them.
+const ARTIFACTS: [Artifact; 16] = [
+    ("fig4", |_| fig4()),
+    ("fig5", |_| fig5()),
+    ("table1", |_| table1_gen()),
+    ("clocking", |_| clocking()),
+    ("fig12", |_| fig12()),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("table2", table2),
+    ("table3", table3),
+    ("ablation", ablation),
+    ("faults", faults),
+    ("temperature", temperature),
+    ("scaqfp", scaqfp),
+    ("apc", apc_comparison),
+    ("synth", |_| synth()),
+    ("breakdown", |_| breakdown()),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let mut quick = false;
+    let mut which: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        let known = arg == "all" || ARTIFACTS.iter().any(|(name, _)| *name == arg);
+        if arg == "--quick" {
+            quick = true;
+        } else if known && which.is_none() {
+            which = Some(arg);
+        } else {
+            let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "tablegen: unexpected argument '{arg}'\nusage: tablegen [{}|all] [--quick]",
+                names.join("|")
+            );
+            std::process::exit(2);
+        }
+    }
+    let which = which.unwrap_or_else(|| "all".to_string());
     let scale = if quick {
         ExperimentScale::quick()
     } else {
         ExperimentScale::full()
     };
-
-    let all = which == "all";
-    if all || which == "fig4" {
-        fig4();
-    }
-    if all || which == "fig5" {
-        fig5();
-    }
-    if all || which == "table1" {
-        table1_gen();
-    }
-    if all || which == "clocking" {
-        clocking();
-    }
-    if all || which == "fig12" {
-        fig12();
-    }
-    if all || which == "fig10" {
-        fig10(&scale);
-    }
-    if all || which == "fig11" {
-        fig11(&scale);
-    }
-    if all || which == "table2" {
-        table2(&scale);
-    }
-    if all || which == "table3" {
-        table3(&scale);
-    }
-    if all || which == "ablation" {
-        ablation(&scale);
-    }
-    if all || which == "faults" {
-        faults(&scale);
-    }
-    if all || which == "temperature" {
-        temperature(&scale);
-    }
-    if all || which == "scaqfp" {
-        scaqfp(&scale);
-    }
-    if all || which == "apc" {
-        apc_comparison(&scale);
-    }
-    if all || which == "synth" {
-        synth();
-    }
-    if all || which == "breakdown" {
-        breakdown();
+    for (name, run) in ARTIFACTS {
+        if which == "all" || which == name {
+            run(&scale);
+        }
     }
 }
 

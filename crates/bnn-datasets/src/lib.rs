@@ -3,9 +3,10 @@
 //! The paper evaluates on MNIST and CIFAR-10, which are not available in
 //! this offline environment. Every SupeRBNN experiment measures *relative*
 //! accuracy across hardware configurations, so the substitution requirement
-//! (DESIGN.md §2) is a multi-class image task that (a) flows through the
-//! same conv/BN/binarize code paths, (b) is learnable but not trivially so,
-//! and (c) is deterministic from a seed. Two generators:
+//! ("Modelling substitutions" in `ARCHITECTURE.md`) is a multi-class image
+//! task that (a) flows through the same conv/BN/binarize code paths, (b) is
+//! learnable but not trivially so, and (c) is deterministic from a seed.
+//! Two generators:
 //!
 //! * [`digits::generate_digits`] — **SynthDigits**, the MNIST stand-in:
 //!   10 classes of 1×16×16 seven-segment-style digit glyphs with random

@@ -1,10 +1,10 @@
 //! Event-driven fault-cone evaluation: incremental delta forward over a
 //! cached clean activation trace.
 //!
-//! Every fault-facing consumer in the workspace — the ATPG detection
-//! matrix, the four-engine fault-universe check, the digital robustness
-//! campaigns — used to pay a **full** [`PackedModel::classify_planes`]
-//! pass per fault class, even though a stuck cell or dead column perturbs
+//! The fault-facing consumers in the workspace — the ATPG detection
+//! matrix and the four-engine fault-universe check — used to pay a
+//! **full** [`PackedModel::classify_planes`] pass per fault class, even
+//! though a stuck cell or dead column perturbs
 //! exactly one output column of one crossbar tile. This module is the
 //! classic event-driven / PPSFP answer: evaluate the clean die once,
 //! remember every stage's activations, and per fault recompute only the
@@ -59,9 +59,6 @@
 //!   fault class.
 //! * `equiv::DieChecker::check_fault_universe` — the delta splice is
 //!   checked as a fifth engine against the faulted full forward.
-//! * `robustness::run_sweep` — digital campaigns share one cache across
-//!   all trials of the packed eval set and score via
-//!   [`PackedModel::delta_accuracy_planes`].
 
 use super::model::argmax;
 use super::packed::PackedModel;
@@ -417,8 +414,7 @@ impl PackedModel {
 
     /// Top-1 accuracy of the faulted model over the cached batch —
     /// bit-identical to [`Self::accuracy_planes`] on the same planes, but
-    /// only the fault cone is re-evaluated. The digital robustness
-    /// campaigns score every trial through this.
+    /// only the fault cone is re-evaluated.
     ///
     /// # Panics
     /// Panics if the cache is empty or `labels` does not match it.

@@ -6,17 +6,21 @@
 //! the folded batch norm (Eq. 16), with the SC accumulation module adding
 //! partial sums across row tiles (Fig. 6b). Max-pooling in the ±1 domain is
 //! a digital OR; the classifier head is a digital popcount layer with the
-//! α/bias affine applied at read-out (see DESIGN.md §2 for the
-//! substitution note on the output layer).
+//! α/bias affine applied at read-out (see "Modelling substitutions" in
+//! `ARCHITECTURE.md` for the note on the output layer).
 //!
 //! # Four inference engines
 //!
-//! | engine | entry point | randomness | speed |
+//! | engine | entry points | randomness | speed |
 //! |---|---|---|---|
-//! | scalar stochastic | [`DeployedModel::classify`] | counter streams | slowest |
-//! | packed stochastic | [`PackedModel::classify_stochastic_ctr`] | counter streams | fast |
-//! | scalar digital | [`DeployedModel::classify_digital`] | none | slow |
-//! | packed digital | [`PackedModel::classify_batch`] | none | fastest |
+//! | scalar stochastic | [`DeployedModel::classify`], [`DeployedModel::accuracy`] | counter streams | slowest |
+//! | packed stochastic | [`PackedModel::classify_stochastic_plane_ctr`], [`PackedModel::accuracy_stochastic_planes_ctr`] | counter streams | fast |
+//! | scalar digital | [`DeployedModel::classify_digital`], [`DeployedModel::accuracy_digital`] | none | slow |
+//! | packed digital | [`PackedModel::classify_planes`] (the one pipeline fold), [`PackedModel::classify_batch`], [`PackedModel::accuracy_planes`], [`PackedModel::accuracy`] | none | fastest |
+//!
+//! Each packed engine folds planes through one path: the digital tensor
+//! and dataset entry points pack their samples once and hand them to
+//! `classify_planes`; the stochastic engine takes planes only.
 //!
 //! The *stochastic* engines simulate the full SC datapath (gray-zone
 //! neuron noise, observation windows, APC accumulation) and are what
@@ -73,8 +77,10 @@
 //! (stuck cells overwrite crossbar weights) or directly into the lowered
 //! [`PackedModel`] ([`PackedModel::inject_faults`] — word masks on the
 //! weight planes, dead columns folded into the SWAR biases). The latter
-//! is what the Monte Carlo robustness engine
-//! ([`crate::robustness`]) clones and mutates per trial.
+//! is what the Monte Carlo robustness engine ([`crate::robustness`])
+//! patches per trial, through an undo journal
+//! ([`PackedModel::inject_faults_journaled`] →
+//! [`PackedModel::revert_faults`]) on one model clone per worker.
 //!
 //! # Packed layout (see [`packed`] for details)
 //!

@@ -73,7 +73,8 @@ impl std::error::Error for DeployError {}
 
 /// The digital classifier head: XNOR/popcount logits with the α/bias
 /// affine applied at read-out (bit-exact with the software binary-weight
-/// linear layer on ±1 inputs; see DESIGN.md §2).
+/// linear layer on ±1 inputs; see "Modelling substitutions" in
+/// `ARCHITECTURE.md`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployedClassifier {
     pop: PopcountLinear,
@@ -180,8 +181,8 @@ impl DeployedModel {
     /// [`PackedModel`](super::PackedModel) lowering, where a conv cell
     /// spans a conv (+ pool) stage and a dense cell on a spatial map is
     /// preceded by a flatten stage — so labels and scores equal
-    /// `PackedModel::classify_stochastic_ctr` with the same stream, bit
-    /// for bit.
+    /// `PackedModel::classify_stochastic_plane_ctr` on the sample's plane
+    /// with the same stream, bit for bit.
     pub fn classify(&self, images: &Tensor, n: usize, stream: &CounterStream) -> (usize, Vec<f32>) {
         let mut map = BitMap::from_tensor_sample(images, n);
         let mut stage = 0u64;
@@ -251,8 +252,8 @@ impl DeployedModel {
     /// Top-1 accuracy of the stochastic datapath over (the first `limit`
     /// samples of) a dataset. Sample `i` draws from
     /// `CounterStream::from_seed(seed).derive(i)` — the convention of
-    /// `PackedModel::accuracy_stochastic_ctr`, which reports the identical
-    /// figure.
+    /// `PackedModel::accuracy_stochastic_planes_ctr`, which reports the
+    /// identical figure over the same samples' planes.
     pub fn accuracy(&self, data: &bnn_datasets::Dataset, seed: u64, limit: Option<usize>) -> f64 {
         let n = limit.map_or(data.len(), |l| l.min(data.len()));
         assert!(n > 0, "accuracy over zero samples");

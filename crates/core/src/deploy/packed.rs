@@ -189,15 +189,6 @@ struct Swar {
     bias: Vec<u64>,
 }
 
-/// Per-lane popcounts of `x` for the given lane width — the `u64`
-/// instantiation of the lane-generic SWAR reduction
-/// ([`aqfp_sc::bitplane::lane_counts_w`]), kept as a named alias because
-/// the scalar per-plane kernels call it pervasively.
-#[inline]
-fn lane_counts(x: u64, lane: u32) -> u64 {
-    lane_counts_w(x, lane)
-}
-
 impl PackedTiledMatrix {
     /// Packs a deployed tiled matrix (reads the crossbars' *stored*
     /// weights, so stuck-cell faults are baked in).
@@ -522,7 +513,7 @@ impl PackedTiledMatrix {
     /// digital vote kernel ([`Self::forward_plane`]) only needs the
     /// *threshold* bit of each SWAR lane, the stochastic datapath needs
     /// the full per-tile sums (they set the gray-zone flip probability),
-    /// so the same `lane_counts` reduction is read out lane-by-lane
+    /// so the same `lane_counts_w` reduction is read out lane-by-lane
     /// instead of being bias-compared.
     ///
     /// # Panics
@@ -563,7 +554,7 @@ impl PackedTiledMatrix {
                     let lanes_per_word = (64 / sw.lane) as usize;
                     let lane_mask = (1u64 << sw.lane) - 1;
                     'words: for (&rw, &aw) in row.iter().zip(acts).take(sw.words) {
-                        let counts = lane_counts(!(rw ^ aw), sw.lane);
+                        let counts = lane_counts_w(!(rw ^ aw), sw.lane);
                         for j in 0..lanes_per_word as u32 {
                             let Some((slot, &slack)) = cells.next() else {
                                 break 'words;
@@ -813,7 +804,8 @@ impl PackedTiledMatrix {
         if let (Some(sw), Some(bias)) = (&self.swar, ctx.bias) {
             for i in 0..sw.words {
                 let x = !(ctx.row[i] ^ acts[i]);
-                votes += ((lane_counts(x, sw.lane) + bias[i]) & sw.msb_mask).count_ones() as usize;
+                votes +=
+                    ((lane_counts_w(x, sw.lane) + bias[i]) & sw.msb_mask).count_ones() as usize;
             }
             tail = sw.tail_tile;
         }
@@ -1339,7 +1331,7 @@ impl PackedModel {
     /// so drawing every layer up front consumes the RNG exactly like the
     /// interleaved draw-and-apply walk of [`Self::inject_faults`]; the
     /// same seed names the same defects. The split exists for the delta
-    /// engine: the robustness sweeps inspect the draw's fault cone
+    /// engine: a caller can inspect the draw's fault cone
     /// ([`super::delta::DirtyChannels::from_draws`]) before committing it
     /// with [`Self::apply_draws_journaled`].
     pub fn draw_faults<R: Rng + ?Sized>(
@@ -1438,49 +1430,17 @@ impl PackedModel {
         journal.clear();
     }
 
-    /// Packs samples `[0, n)` of a `[N, C, H, W]` tensor into the
-    /// batch-major activation matrix (one row per sample, sign-binarized
-    /// like [`BitMap::from_tensor_sample`]).
-    ///
-    /// # Panics
-    /// Panics unless the tensor is 4-D and `n` is in range.
-    pub fn pack_batch(images: &Tensor, n: usize) -> PackedMatrix {
-        let s = images.shape();
-        assert_eq!(s.len(), 4, "expected [N, C, H, W]");
-        assert!(n <= s[0], "batch size out of range");
-        let per: usize = s[1] * s[2] * s[3];
-        let mut batch = PackedMatrix::zeros(n, per);
-        for i in 0..n {
-            for (j, &v) in images.data()[i * per..(i + 1) * per].iter().enumerate() {
-                if v as f64 >= 0.0 {
-                    batch.set(i, j, true);
-                }
-            }
-        }
-        batch
-    }
-
-    /// Classifies one packed `[C, H, W]` input plane by folding it through
-    /// the pipeline plan.
-    pub fn classify_plane(&self, plane: &BitPlane) -> (usize, Vec<f32>) {
-        let mut act = plane.clone();
-        let mut shape = self.input_shape;
-        for layer in &self.layers {
-            let (next, next_shape) = layer.forward(act, shape);
-            act = next;
-            shape = next_shape;
-        }
-        let scores = self.classifier.scores_plane(&act);
-        (argmax(&scores), scores)
-    }
-
-    /// Classifies a coalesced batch of packed input planes on the calling
-    /// thread — the serving layer's batch kernel. Conv, pool and flatten
-    /// stages fold each plane individually; linear stages pack the whole
-    /// batch into one activation matrix and run the blocked GEMM kernel
-    /// ([`PackedTiledMatrix::forward_matrix`]), which is where coalescing
-    /// arrivals into one batch pays. Results come back in input order,
-    /// bit-identical to per-sample [`Self::classify_plane`] calls.
+    /// Classifies a batch of packed `[C, H, W]` input planes on the calling
+    /// thread — the one fold over the pipeline plan that every digital
+    /// entry point (the worker fan-out of [`Self::classify_batch`], the
+    /// serving layer's batch kernel, the robustness trials) runs. Conv,
+    /// pool and flatten stages fold each plane individually; linear stages
+    /// pack the whole batch into one activation matrix and run the blocked
+    /// GEMM kernel ([`PackedTiledMatrix::forward_matrix`]), which is where
+    /// coalescing arrivals into one batch pays. Results come back in input
+    /// order, and a one-plane batch folds through the per-plane stage
+    /// kernels alone, so any batching of the same planes gives bit-identical
+    /// results.
     ///
     /// # Panics
     /// Panics if any plane's length does not match the input shape.
@@ -1530,71 +1490,70 @@ impl PackedModel {
             .collect()
     }
 
-    /// Classifies sample `n` of an image batch; returns `(label, scores)`.
-    pub fn classify(&self, images: &Tensor, n: usize) -> (usize, Vec<f32>) {
-        let map = BitMap::from_tensor_sample(images, n);
-        self.classify_plane(&map.to_plane())
-    }
-
     /// Classifies the first `limit` samples (default: all) of a
-    /// `[N, C, H, W]` tensor, fanning the batch across worker threads.
+    /// `[N, C, H, W]` tensor: packs each sample once (sign-binarized by
+    /// [`BitMap::from_tensor_sample`]) and fans one contiguous chunk of
+    /// planes per worker through [`Self::classify_planes`]. Results come
+    /// back in sample order.
     pub fn classify_batch(&self, images: &Tensor, limit: Option<usize>) -> Vec<(usize, Vec<f32>)> {
         let n = limit.map_or(images.shape()[0], |l| l.min(images.shape()[0]));
-        let batch = Self::pack_batch(images, n);
-        let mut results: Vec<Option<(usize, Vec<f32>)>> = vec![None; n];
         if n == 0 {
             return Vec::new();
         }
+        let planes: Vec<BitPlane> = (0..n)
+            .map(|i| BitMap::from_tensor_sample(images, i).to_plane())
+            .collect();
         let chunk = n.div_ceil(self.workers.min(n));
         std::thread::scope(|s| {
-            for (ci, slots) in results.chunks_mut(chunk).enumerate() {
-                let batch = &batch;
-                s.spawn(move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(self.classify_plane(&batch.row_plane(ci * chunk + j)));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every chunk was processed"))
-            .collect()
+            let handles: Vec<_> = planes
+                .chunks(chunk)
+                .map(|c| s.spawn(move || self.classify_planes(c)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("classify worker panicked"))
+                .collect()
+        })
     }
 
     /// Top-1 accuracy over pre-packed input planes with their labels —
     /// the eval-set-cache entry point of the robustness sweeps: the
     /// campaign packs its evaluation samples once and every trial scores
-    /// the shared planes on the calling thread (via
-    /// [`Self::classify_planes`], bit-identical to per-sample
-    /// classification), instead of re-binarizing the tensor per trial.
+    /// the shared planes on the calling thread through
+    /// [`Self::classify_planes`], instead of re-binarizing the tensor per
+    /// trial.
     ///
     /// # Panics
     /// Panics if `planes` is empty or the lengths differ.
     pub fn accuracy_planes(&self, planes: &[BitPlane], labels: &[usize]) -> f64 {
         assert_eq!(planes.len(), labels.len(), "plane/label count mismatch");
-        assert!(!planes.is_empty(), "accuracy over zero samples");
-        let preds = self.classify_planes(planes);
-        let correct = preds
-            .iter()
-            .zip(labels)
-            .filter(|((p, _), &l)| *p == l)
-            .count();
-        correct as f64 / planes.len() as f64
+        top1(&self.classify_planes(planes), labels)
     }
 
-    /// Top-1 accuracy over (the first `limit` samples of) a dataset.
+    /// Top-1 accuracy over (the first `limit` samples of) a dataset,
+    /// classified by [`Self::classify_batch`].
+    ///
+    /// # Panics
+    /// Panics if no sample is evaluated.
     pub fn accuracy(&self, data: &bnn_datasets::Dataset, limit: Option<usize>) -> f64 {
         let n = limit.map_or(data.len(), |l| l.min(data.len()));
-        assert!(n > 0, "accuracy over zero samples");
-        let preds = self.classify_batch(&data.images, Some(n));
-        let correct = preds
-            .iter()
-            .zip(&data.labels)
-            .filter(|((p, _), &l)| *p == l)
-            .count();
-        correct as f64 / n as f64
+        top1(&self.classify_batch(&data.images, Some(n)), &data.labels)
     }
+}
+
+/// The share of `preds` whose label matches `labels` (zipped in order) —
+/// the counting rule of both digital accuracy entry points.
+///
+/// # Panics
+/// Panics if `preds` is empty.
+pub(super) fn top1(preds: &[(usize, Vec<f32>)], labels: &[usize]) -> f64 {
+    assert!(!preds.is_empty(), "accuracy over zero samples");
+    let correct = preds
+        .iter()
+        .zip(labels)
+        .filter(|((p, _), &l)| *p == l)
+        .count();
+    correct as f64 / preds.len() as f64
 }
 
 #[cfg(test)]
@@ -1677,9 +1636,10 @@ mod tests {
             samples_per_class: 1,
             ..Default::default()
         });
-        for i in 0..3 {
+        let batch = packed.classify_batch(&data.images, Some(3));
+        for (i, got) in batch.iter().enumerate() {
             assert_eq!(
-                packed.classify(&data.images, i),
+                *got,
                 deployed.classify_digital(&data.images, i),
                 "sample {i}"
             );
@@ -1723,9 +1683,9 @@ mod tests {
             let scalar_defects = deployed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(21));
             let packed_defects = packed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(21));
             assert_eq!(scalar_defects, packed_defects, "rates ({stuck}, {dead})");
-            for i in 0..data.len() {
+            for (i, got) in packed.classify_batch(&data.images, None).iter().enumerate() {
                 assert_eq!(
-                    packed.classify(&data.images, i),
+                    *got,
                     deployed.classify_digital(&data.images, i),
                     "rates ({stuck}, {dead}), sample {i}"
                 );
@@ -1733,22 +1693,37 @@ mod tests {
         }
     }
 
+    /// Chunking the batch across workers never changes a result, on the
+    /// MLP (linear GEMM per chunk) and on the VGG conv pipeline, at
+    /// sample counts the worker counts leave ragged chunks of.
     #[test]
     fn single_worker_and_many_workers_agree() {
-        let h = hw(16, 16);
-        let spec = NetSpec::mlp(&[1, 16, 16], &[16], 10);
-        let model = spec.build_software(&h, 5);
-        let deployed = deploy(&spec, &model, &h).unwrap();
-        let data = bnn_datasets::digits::generate_digits(&bnn_datasets::SynthConfig {
-            samples_per_class: 1,
-            ..Default::default()
-        });
-        let one = deployed.to_packed().with_workers(1).unwrap();
-        let many = deployed.to_packed().with_workers(7).unwrap();
-        assert_eq!(
-            one.classify_batch(&data.images, None),
-            many.classify_batch(&data.images, None)
-        );
+        for (spec, rows, cols, n) in [
+            (NetSpec::mlp(&[1, 16, 16], &[16], 10), 16, 16, 10),
+            (NetSpec::vgg_small([1, 16, 16], 4, 10), 32, 16, 13),
+        ] {
+            let h = hw(rows, cols);
+            let model = spec.build_software(&h, 5);
+            let deployed = deploy(&spec, &model, &h).unwrap();
+            let data = bnn_datasets::digits::generate_digits(&bnn_datasets::SynthConfig {
+                samples_per_class: 2,
+                ..Default::default()
+            });
+            let one = deployed
+                .to_packed()
+                .with_workers(1)
+                .unwrap()
+                .classify_batch(&data.images, Some(n));
+            assert_eq!(one.len(), n);
+            for workers in [3, 4, 7] {
+                let many = deployed.to_packed().with_workers(workers).unwrap();
+                assert_eq!(
+                    one,
+                    many.classify_batch(&data.images, Some(n)),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1763,10 +1738,10 @@ mod tests {
         ));
     }
 
-    /// The coalesced batch kernel must be bit-identical to per-sample
-    /// evaluation on both pipeline shapes (MLP: the linear GEMM path;
-    /// VGG: conv/pool stages folding per plane), for every batch size
-    /// around the word boundary.
+    /// The coalesced batch kernel must be bit-identical to one-plane
+    /// batches on both pipeline shapes (MLP: the batched linear GEMM
+    /// against the per-plane linear kernel; VGG: conv/pool stages folding
+    /// per plane), for every batch size around the word boundary.
     #[test]
     fn classify_planes_matches_per_sample_classify() {
         for (spec, rows, cols) in [
@@ -1789,7 +1764,8 @@ mod tests {
                 let batch = packed.classify_planes(&planes[..n]);
                 assert_eq!(batch.len(), n);
                 for (i, got) in batch.iter().enumerate() {
-                    assert_eq!(*got, packed.classify_plane(&planes[i]), "sample {i} of {n}");
+                    let one = packed.classify_planes(std::slice::from_ref(&planes[i]));
+                    assert_eq!(*got, one[0], "sample {i} of {n}");
                 }
             }
         }

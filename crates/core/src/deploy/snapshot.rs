@@ -160,11 +160,11 @@ fn w_u8<W: Write>(w: &mut W, v: u8) -> Result<()> {
     Ok(w.write_all(&[v])?)
 }
 
-fn w_u32<W: Write>(w: &mut W, v: u32) -> Result<()> {
+pub(crate) fn w_u32<W: Write>(w: &mut W, v: u32) -> Result<()> {
     Ok(w.write_all(&v.to_le_bytes())?)
 }
 
-fn w_u64<W: Write>(w: &mut W, v: u64) -> Result<()> {
+pub(crate) fn w_u64<W: Write>(w: &mut W, v: u64) -> Result<()> {
     Ok(w.write_all(&v.to_le_bytes())?)
 }
 
@@ -172,7 +172,7 @@ fn w_i64<W: Write>(w: &mut W, v: i64) -> Result<()> {
     Ok(w.write_all(&v.to_le_bytes())?)
 }
 
-fn w_f32<W: Write>(w: &mut W, v: f32) -> Result<()> {
+pub(crate) fn w_f32<W: Write>(w: &mut W, v: f32) -> Result<()> {
     Ok(w.write_all(&v.to_le_bytes())?)
 }
 
@@ -194,11 +194,11 @@ fn r_u8<R: Read>(r: &mut R) -> Result<u8> {
     Ok(r_bytes::<R, 1>(r)?[0])
 }
 
-fn r_u32<R: Read>(r: &mut R) -> Result<u32> {
+pub(crate) fn r_u32<R: Read>(r: &mut R) -> Result<u32> {
     Ok(u32::from_le_bytes(r_bytes(r)?))
 }
 
-fn r_u64<R: Read>(r: &mut R) -> Result<u64> {
+pub(crate) fn r_u64<R: Read>(r: &mut R) -> Result<u64> {
     Ok(u64::from_le_bytes(r_bytes(r)?))
 }
 
@@ -206,7 +206,7 @@ fn r_i64<R: Read>(r: &mut R) -> Result<i64> {
     Ok(i64::from_le_bytes(r_bytes(r)?))
 }
 
-fn r_f32<R: Read>(r: &mut R) -> Result<f32> {
+pub(crate) fn r_f32<R: Read>(r: &mut R) -> Result<f32> {
     Ok(f32::from_le_bytes(r_bytes(r)?))
 }
 
@@ -215,7 +215,7 @@ fn r_f64<R: Read>(r: &mut R) -> Result<f64> {
 }
 
 /// A length/index field, bounded by the sanity cap.
-fn r_len<R: Read>(r: &mut R) -> Result<usize> {
+pub(crate) fn r_len<R: Read>(r: &mut R) -> Result<usize> {
     let v = r_u64(r)?;
     if v > MAX_LEN {
         return Err(SnapshotError::Corrupt("length field beyond sanity cap"));
@@ -226,11 +226,15 @@ fn r_len<R: Read>(r: &mut R) -> Result<usize> {
 /// Reads `n` values with `read`. The vector grows with the values
 /// actually decoded, never reserved from the declared count, so a corrupt
 /// count runs out of data instead of allocating for it.
-fn r_vec<R: Read, T>(r: &mut R, n: usize, read: fn(&mut R) -> Result<T>) -> Result<Vec<T>> {
+pub(crate) fn r_vec<R: Read, T>(
+    r: &mut R,
+    n: usize,
+    read: fn(&mut R) -> Result<T>,
+) -> Result<Vec<T>> {
     (0..n).map(|_| read(r)).collect()
 }
 
-fn r_u64s<R: Read>(r: &mut R, n: usize) -> Result<Vec<u64>> {
+pub(crate) fn r_u64s<R: Read>(r: &mut R, n: usize) -> Result<Vec<u64>> {
     r_vec(r, n, r_u64)
 }
 

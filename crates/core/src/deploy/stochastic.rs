@@ -11,7 +11,7 @@
 //! [`PackedLayer`] pipeline IR, built from three pieces:
 //!
 //! 1. **Packed tile sums** — per-tile XNOR match counts come from the same
-//!    SWAR `lane_counts` reduction and masked-popcount spans the digital
+//!    SWAR `lane_counts_w` reduction and masked-popcount spans the digital
 //!    engine votes with ([`PackedTiledMatrix::matches_into`]), instead of
 //!    per-element multiply loops.
 //! 2. **Flip-probability tables** — every `(tile, column)` cell's
@@ -68,13 +68,12 @@
 use super::model::argmax;
 use super::packed::PackedTiledMatrix;
 use super::pipeline::{PackedConvStage, PackedLayer};
-use super::{BitMap, PackedModel};
+use super::PackedModel;
 use aqfp_device::{Bit, GrayZone, VariationModel};
 use aqfp_sc::accumulate::CounterKind;
 use aqfp_sc::bitplane::{bernoulli_threshold, packed_im2col, BERNOULLI_ALWAYS, BERNOULLI_NEVER};
 use aqfp_sc::counter::{counter_always, counter_never};
 use aqfp_sc::{Apc, BitPlane, CounterStream, PackedMatrix};
-use bnn_nn::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// How the stochastic engine draws its Bernoulli observation windows.
@@ -402,15 +401,6 @@ impl PackedTiledMatrix {
 pub struct StochasticTables {
     /// Aligned with `PackedModel::layers`: `Some` for weighted stages.
     stages: Vec<Option<MatrixStochasticTables>>,
-    /// The operating condition the tables were built for.
-    variation: VariationModel,
-}
-
-impl StochasticTables {
-    /// The operating condition the tables were built for.
-    pub fn variation(&self) -> &VariationModel {
-        &self.variation
-    }
 }
 
 /// Runs one conv stage stochastically: the word-level im2col gather of
@@ -482,7 +472,6 @@ impl PackedModel {
                     PackedLayer::Pool(_) | PackedLayer::Flatten => None,
                 })
                 .collect(),
-            variation: *vm,
         }
     }
 
@@ -502,7 +491,8 @@ impl PackedModel {
     /// been evaluated, in what order, on how many workers — and equal to
     /// [`DeployedModel::classify`](super::DeployedModel::classify) with
     /// the same sample stream. Callers give each sample its own stream
-    /// (see [`PackedModel::accuracy_stochastic_ctr`] for the convention).
+    /// (see [`PackedModel::accuracy_stochastic_planes_ctr`] for the
+    /// convention).
     pub fn classify_stochastic_plane_ctr(
         &self,
         tables: &StochasticTables,
@@ -513,60 +503,17 @@ impl PackedModel {
         self.classify_plane_stochastic_ctr_with(tables, plane.clone(), stream, &mut scratch)
     }
 
-    /// Classifies sample `n` of an image batch through the stochastic
-    /// datapath; returns `(label, scores)`. See
-    /// [`PackedModel::classify_stochastic_plane_ctr`].
-    pub fn classify_stochastic_ctr(
-        &self,
-        tables: &StochasticTables,
-        images: &Tensor,
-        n: usize,
-        stream: &CounterStream,
-    ) -> (usize, Vec<f32>) {
-        let map = BitMap::from_tensor_sample(images, n);
-        self.classify_stochastic_plane_ctr(tables, &map.to_plane(), stream)
-    }
-
-    /// Top-1 accuracy of the stochastic engine over (the first `limit`
-    /// samples of) a dataset. Sample `i` draws from
-    /// `CounterStream::from_seed(seed).derive(i)`, so each figure is a
-    /// pure function of `(seed, dataset)`: the samples can be evaluated in
-    /// any order, split across any worker count, or re-run individually
-    /// and the accuracy is bit-identical — and equal to the scalar
-    /// [`DeployedModel::accuracy`](super::DeployedModel::accuracy) at the
-    /// same seed.
-    pub fn accuracy_stochastic_ctr(
-        &self,
-        tables: &StochasticTables,
-        data: &bnn_datasets::Dataset,
-        seed: u64,
-        limit: Option<usize>,
-    ) -> f64 {
-        let n = limit.map_or(data.len(), |l| l.min(data.len()));
-        assert!(n > 0, "accuracy over zero samples");
-        let root = CounterStream::from_seed(seed);
-        let mut scratch = Scratch::default();
-        let mut correct = 0usize;
-        for i in 0..n {
-            let plane = BitMap::from_tensor_sample(&data.images, i).to_plane();
-            let (pred, _) = self.classify_plane_stochastic_ctr_with(
-                tables,
-                plane,
-                &root.derive(i as u64),
-                &mut scratch,
-            );
-            if pred == data.labels[i] {
-                correct += 1;
-            }
-        }
-        correct as f64 / n as f64
-    }
-
-    /// [`PackedModel::accuracy_stochastic_ctr`] over pre-packed planes:
-    /// plane `i` draws from `CounterStream::from_seed(seed).derive(i)`, but
-    /// the per-sample `BitMap` conversion is hoisted out — the form Monte
-    /// Carlo campaigns use to share one packed eval set across every
-    /// trial.
+    /// Top-1 accuracy of the stochastic engine over pre-packed planes.
+    /// Plane `i` draws from `CounterStream::from_seed(seed).derive(i)`, so
+    /// each figure is a pure function of `(seed, planes)`: the samples can
+    /// be evaluated in any order, split across any worker count, or re-run
+    /// individually and the accuracy is bit-identical — and equal to the
+    /// scalar [`DeployedModel::accuracy`](super::DeployedModel::accuracy)
+    /// at the same seed over the same samples. Monte Carlo campaigns pack
+    /// one eval set and share it across every trial.
+    ///
+    /// # Panics
+    /// Panics if `planes` is empty or the lengths differ.
     pub fn accuracy_stochastic_planes_ctr(
         &self,
         tables: &StochasticTables,
@@ -644,7 +591,8 @@ impl PackedModel {
 mod tests {
     use super::*;
     use crate::config::HardwareConfig;
-    use crate::deploy::{deploy, TiledMatrix};
+    use crate::deploy::packed::top1;
+    use crate::deploy::{deploy, BitMap, TiledMatrix};
     use crate::spec::NetSpec;
     use aqfp_crossbar::faults::InjectedFaults;
 
@@ -656,6 +604,12 @@ mod tests {
             bitstream_len,
             ..Default::default()
         }
+    }
+
+    fn planes_of(data: &bnn_datasets::Dataset) -> Vec<BitPlane> {
+        (0..data.len())
+            .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
+            .collect()
     }
 
     fn pseudo_signs(n: usize, salt: usize) -> Vec<f32> {
@@ -712,17 +666,18 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
+        let planes = planes_of(&data);
         let root = CounterStream::from_seed(7);
-        for i in 0..data.len() {
+        for (i, plane) in planes.iter().enumerate() {
             let stream = root.derive(i as u64);
             assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &data.images, i, &stream),
+                packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
                 deployed.classify(&data.images, i, &stream),
                 "sample {i}"
             );
         }
         assert_eq!(
-            packed.accuracy_stochastic_ctr(&tables, &data, 8, Some(10)),
+            packed.accuracy_stochastic_planes_ctr(&tables, &planes[..10], &data.labels[..10], 8),
             deployed.accuracy(&data, 8, Some(10)),
         );
     }
@@ -754,7 +709,7 @@ mod tests {
     /// Every classification is a pure function of its `(seed, sample)`
     /// coordinates — replaying a sample or walking the batch in reverse
     /// order reproduces bit-identical labels and scores, and the
-    /// plane-batch accuracy equals the direct dataset walk.
+    /// plane-batch accuracy counts exactly the per-sample walk's hits.
     #[test]
     fn counter_mode_is_pure_and_order_free() {
         let h = hw(16, 16, 4.0, 8);
@@ -766,25 +721,18 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
+        let planes = planes_of(&data);
         let root = CounterStream::from_seed(99);
-        let forward: Vec<_> = (0..data.len())
-            .map(|i| {
-                packed.classify_stochastic_ctr(&tables, &data.images, i, &root.derive(i as u64))
-            })
-            .collect();
-        for i in (0..data.len()).rev() {
-            assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &data.images, i, &root.derive(i as u64)),
-                forward[i],
-                "sample {i}"
-            );
+        let classify = |i: usize| {
+            packed.classify_stochastic_plane_ctr(&tables, &planes[i], &root.derive(i as u64))
+        };
+        let forward: Vec<_> = (0..planes.len()).map(classify).collect();
+        for i in (0..planes.len()).rev() {
+            assert_eq!(classify(i), forward[i], "sample {i}");
         }
-        let planes: Vec<BitPlane> = (0..data.len())
-            .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
-            .collect();
         assert_eq!(
             packed.accuracy_stochastic_planes_ctr(&tables, &planes, &data.labels, 99),
-            packed.accuracy_stochastic_ctr(&tables, &data, 99, None),
+            top1(&forward, &data.labels),
         );
     }
 
@@ -860,9 +808,7 @@ mod tests {
             samples_per_class: 2,
             ..Default::default()
         });
-        let planes: Vec<BitPlane> = (0..data.len())
-            .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
-            .collect();
+        let planes = planes_of(&data);
         assert_eq!(
             deployed.accuracy(&data, 5, None),
             packed.accuracy_stochastic_planes_ctr(&tables, &planes, &data.labels, 5),
@@ -886,10 +832,10 @@ mod tests {
             ..Default::default()
         });
         let root = CounterStream::from_seed(21);
-        for i in 0..data.len() {
+        for (i, plane) in planes_of(&data).iter().enumerate() {
             let stream = root.derive(i as u64);
             assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &data.images, i, &stream),
+                packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
                 varied.classify(&data.images, i, &stream),
                 "sample {i}"
             );

@@ -3,9 +3,10 @@
 //! Each driver is parameterized by an [`ExperimentScale`] so the same code
 //! runs as a fast smoke test (`quick`) or at full reproduction scale
 //! (`full`, used by the `tablegen` binary). The synthetic-dataset
-//! substitution is documented in DESIGN.md §2: every experiment here
-//! measures *relative* accuracy across hardware configurations, which is
-//! what the paper's Figs. 10–11 and the "Ours" table rows report.
+//! substitution is documented under "Modelling substitutions" in
+//! `ARCHITECTURE.md`: every experiment here measures *relative* accuracy
+//! across hardware configurations, which is what the paper's Figs. 10–11
+//! and the "Ours" table rows report.
 
 use crate::config::HardwareConfig;
 use crate::deploy::deploy;
@@ -235,7 +236,7 @@ pub const TABLE2_CONFIGS: [(usize, f64, usize); 4] =
 /// constraints. Each config is `(crossbar size, ΔIin µA, bit-stream len)`
 /// — chosen along the co-optimizer's Pareto front from accurate/expensive
 /// to cheap/noisy. (The ResNet variant is evaluated in software and costed
-/// structurally; see DESIGN.md.)
+/// structurally; see "Modelling substitutions" in `ARCHITECTURE.md`.)
 pub fn table2_ours(scale: &ExperimentScale, configs: &[(usize, f64, usize)]) -> Vec<OursRow> {
     let (train, test) = scale.objects_data();
     let spec = NetSpec::vgg_small([3, 16, 16], scale.width, 10);

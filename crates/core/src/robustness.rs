@@ -19,13 +19,10 @@
 //!    value),
 //! 2. evaluates accuracy over a packed eval set shared by every trial of
 //!    the campaign (the planes are packed once up front, not once per
-//!    trial) — digital campaigns score through the event-driven
-//!    fault-cone engine ([`crate::deploy::delta`]): the clean activation
-//!    trace of the shared eval set is cached **once** for the whole
-//!    campaign, each trial re-votes only the channels its draw dirtied
-//!    and propagates only what changed, falling back to the (bit-
-//!    identical) full forward when a heavy draw dirties too much of the
-//!    die for the cone to pay — and
+//!    trial) — digital trials score the faulted model with
+//!    [`PackedModel::accuracy_planes`], except that a draw with zero
+//!    defects leaves the model pristine and takes the clean accuracy,
+//!    evaluated once per campaign — and
 //! 3. reverts the journal ([`PackedModel::revert_faults`]), restoring the
 //!    model bit-for-bit for the next trial — no per-trial clone of the
 //!    weight planes at all.
@@ -61,7 +58,7 @@
 //! keeping the "what the slow engine would report" guarantee on this axis
 //! too.
 
-use crate::deploy::{ActivationCache, BitMap, DirtyChannels, PackedModel, RngMode};
+use crate::deploy::{BitMap, PackedModel, RngMode};
 use aqfp_crossbar::faults::{FaultModel, PatchJournal};
 use aqfp_device::{DeviceRng, SeedableRng, VariationModel};
 use aqfp_sc::BitPlane;
@@ -347,22 +344,12 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
         .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
         .collect();
     let labels = &data.labels[..eval_samples];
-    // Digital campaigns share one clean activation trace across all
-    // workers and trials; stochastic trials redraw every activation under
-    // SC noise, so a clean cache has nothing to offer them.
-    let cache = cfg
+    // A digital draw with no defects leaves the model pristine: such
+    // trials share one clean evaluation, made before the workers start.
+    let clean = cfg
         .variations
         .is_empty()
-        .then(|| ActivationCache::new(packed, &planes));
-    // Fault-cone cutoff: a draw dirtying more than this fraction of the
-    // model's weighted output channels takes the full forward instead
-    // (both paths are bit-identical; this only bounds the constant).
-    let total_channels: usize = packed
-        .layers()
-        .iter()
-        .filter_map(|l| l.matrix().map(|m| m.out()))
-        .sum();
-    let delta_cutoff = total_channels / 4;
+        .then(|| packed.accuracy_planes(&planes, labels));
     let conditions = cfg.variations.len().max(1);
     let points_per_cond = cfg.grid.len();
     let total = conditions * points_per_cond * cfg.trials;
@@ -374,7 +361,6 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
         for (ci, slots) in outcomes.chunks_mut(chunk).enumerate() {
             let tables = &tables;
             let planes = &planes;
-            let cache = cache.as_ref();
             s.spawn(move || {
                 // One clone per worker, reused by every trial: faults are
                 // patched in through the journal and reverted bit-for-bit
@@ -389,23 +375,17 @@ pub fn run_sweep(packed: &PackedModel, data: &Dataset, cfg: &SweepConfig) -> Rob
                     let point = trial / cfg.trials;
                     let seed = cfg.campaign_seed ^ trial as u64;
                     let mut rng = DeviceRng::seed_from_u64(seed);
-                    // Drawing first, applying second is RNG-identical to
-                    // `inject_faults_journaled` (which is this exact
-                    // composition); the explicit draws feed the fault
-                    // cone below.
-                    let draws = m.draw_faults(&cfg.grid[point % points_per_cond], &mut rng);
-                    let defects = m.apply_draws_journaled(&draws, &mut journal);
+                    let defects = m.inject_faults_journaled(
+                        &cfg.grid[point % points_per_cond],
+                        &mut rng,
+                        &mut journal,
+                    );
                     let accuracy = match tables.get(point / points_per_cond) {
                         Some(t) => m.accuracy_stochastic_planes_ctr(t, planes, labels, seed),
-                        None => {
-                            let cache = cache.expect("digital campaigns build a cache");
-                            let dirty = DirtyChannels::from_draws(&m, &draws);
-                            if dirty.total() <= delta_cutoff {
-                                m.delta_accuracy_planes(cache, &dirty, labels)
-                            } else {
-                                m.accuracy_planes(planes, labels)
-                            }
+                        None if defects == 0 => {
+                            clean.expect("digital campaigns score the clean die")
                         }
+                        None => m.accuracy_planes(planes, labels),
                     };
                     m.revert_faults(&mut journal);
                     *slot = Some(TrialOutcome {
@@ -606,22 +586,28 @@ mod tests {
 
     #[test]
     fn digital_trials_reproduce_the_direct_evaluation() {
-        // Digital campaigns route through the event-driven fault-cone
-        // engine (shared `ActivationCache` + per-trial dirty channels);
-        // replaying each trial with the plain full-forward path must give
-        // the identical defect count and accuracy.
+        // Digital campaigns reuse one clean evaluation for draws with zero
+        // defects and run the full forward on every other draw; replaying
+        // each trial by hand on a fresh clone must give the identical
+        // defect count and accuracy. At the 1e-4 rate the tiny MLP's draws
+        // are a mix of defect-free and faulted ones, so the reuse is
+        // checked at a nonzero rate against draws that do land faults.
         let (packed, data) = tiny_campaign_model();
-        let cfg = SweepConfig::stuck_cell_grid(&[0.15], 4, 31)
+        let cfg = SweepConfig::stuck_cell_grid(&[0.15, 1e-4], 8, 31)
             .unwrap()
             .with_eval_samples(Some(12));
         let report = run_sweep(&packed, &data, &cfg);
-        for t in &report.points[0].trials {
-            let mut m = packed.clone();
-            let mut rng = DeviceRng::seed_from_u64(t.seed);
-            let defects = m.inject_faults(&cfg.grid[0], &mut rng);
-            assert_eq!(defects, t.defects);
-            assert_eq!(m.accuracy(&data, Some(12)), t.accuracy, "trial {}", t.trial);
+        for (point, fm) in report.points.iter().zip(&cfg.grid) {
+            for t in &point.trials {
+                let mut m = packed.clone();
+                let defects = m.inject_faults(fm, &mut DeviceRng::seed_from_u64(t.seed));
+                assert_eq!(defects, t.defects);
+                assert_eq!(m.accuracy(&data, Some(12)), t.accuracy, "trial {}", t.trial);
+            }
         }
+        let sparse = &report.points[1].trials;
+        assert!(sparse.iter().any(|t| t.defects == 0), "no defect-free draw");
+        assert!(sparse.iter().any(|t| t.defects > 0), "no faulted draw");
     }
 
     #[test]
@@ -656,8 +642,11 @@ mod tests {
             // The sweep evaluates the first 10 samples of `data`.
             let tables =
                 packed.stochastic_tables(&VariationModel::grayzone_scale_only(2.0).unwrap());
+            let planes: Vec<BitPlane> = (0..10)
+                .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
+                .collect();
             move |m: &PackedModel, seed: u64| {
-                m.accuracy_stochastic_ctr(&tables, &data, seed, Some(10))
+                m.accuracy_stochastic_planes_ctr(&tables, &planes, &data.labels[..10], seed)
             }
         };
         for t in &report.points[0].trials {

@@ -40,8 +40,10 @@
 //! it perturbs the scores even when the argmax survives — a far more
 //! sensitive screen than label agreement alone.
 
-use crate::deploy::snapshot::shape_volume;
-use crate::deploy::{ActivationCache, DirtyChannels, PackedModel, SnapshotError};
+use crate::deploy::snapshot::{
+    r_f32, r_len, r_u32, r_u64s, r_vec, shape_volume, w_f32, w_u32, w_u64,
+};
+use crate::deploy::{ActivationCache, DirtyChannels, PackedLayer, PackedModel, SnapshotError};
 use aqfp_crossbar::faults::{
     fault_universe_size, FaultKind, InjectedFaults, PatchJournal, StructuralFault,
 };
@@ -58,9 +60,6 @@ pub const PROBESET_MAGIC: [u8; 8] = *b"SBNNPROB";
 
 /// The probe-set wire-format version this build writes and reads.
 pub const PROBESET_VERSION: u32 = 1;
-
-/// Sanity cap on decoded length fields (see `deploy::snapshot`).
-const MAX_LEN: u64 = 1 << 28;
 
 /// Why a screening run could not produce a meaningful report. Every
 /// variant names a degenerate input that would otherwise surface as a
@@ -263,7 +262,7 @@ impl ScreeningReport {
 pub fn fault_universe(model: &PackedModel) -> Vec<FaultSite> {
     let mut sites = Vec::new();
     for (li, layer) in model.layers().iter().enumerate() {
-        let Some(m) = layer_matrix(layer) else {
+        let Some(m) = layer.matrix() else {
             continue;
         };
         let dims = m.tile_dims();
@@ -311,7 +310,7 @@ pub fn model_universe_size(model: &PackedModel) -> usize {
     model
         .layers()
         .iter()
-        .filter_map(layer_matrix)
+        .filter_map(PackedLayer::matrix)
         .map(|m| fault_universe_size(&m.tile_dims()))
         .sum()
 }
@@ -487,11 +486,6 @@ pub fn generate_probes(
     })
 }
 
-/// The packed matrix behind a weighted stage.
-fn layer_matrix(layer: &crate::deploy::PackedLayer) -> Option<&crate::deploy::PackedTiledMatrix> {
-    layer.matrix()
-}
-
 /// Seeded partial Fisher–Yates subsample: keeps the first `cap` entries
 /// of a uniform shuffle.
 fn subsample(sites: &mut Vec<FaultSite>, cap: usize, seed: u64) {
@@ -540,7 +534,7 @@ fn detection_matrix(
     let layer_dies: Vec<usize> = model
         .layers()
         .iter()
-        .map(|l| layer_matrix(l).map_or(0, |m| m.tile_dims().len()))
+        .map(|l| l.matrix().map_or(0, |m| m.tile_dims().len()))
         .collect();
     let workers = workers.max(1).min(sites.len());
     let chunk = sites.len().div_ceil(workers);
@@ -700,22 +694,22 @@ impl ProbeSet {
     /// [`SnapshotError::Io`] on write failure.
     pub fn write<W: Write>(&self, w: &mut W) -> Result<(), SnapshotError> {
         w.write_all(&PROBESET_MAGIC).map_err(SnapshotError::Io)?;
-        put_u32(w, PROBESET_VERSION)?;
+        w_u32(w, PROBESET_VERSION)?;
         for d in self.input_shape {
-            put_u64(w, d as u64)?;
+            w_u64(w, d as u64)?;
         }
-        put_u64(w, self.planes.len() as u64)?;
+        w_u64(w, self.planes.len() as u64)?;
         let classes = self.golden.first().map_or(0, |(_, s)| s.len());
-        put_u64(w, classes as u64)?;
+        w_u64(w, classes as u64)?;
         for plane in &self.planes {
             for &word in plane.words() {
-                put_u64(w, word)?;
+                w_u64(w, word)?;
             }
         }
         for (label, scores) in &self.golden {
-            put_u64(w, *label as u64)?;
+            w_u64(w, *label as u64)?;
             for &s in scores {
-                put_u32(w, s.to_bits())?;
+                w_f32(w, s)?;
             }
         }
         Ok(())
@@ -732,26 +726,24 @@ impl ProbeSet {
         if magic != PROBESET_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = get_u32(r)?;
+        let version = r_u32(r)?;
         if version != PROBESET_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let mut input_shape = [0usize; 3];
         for d in &mut input_shape {
-            *d = get_len(r, "input shape dimension")?;
+            *d = r_len(r)?;
         }
         let len =
             shape_volume(input_shape).ok_or(SnapshotError::Corrupt("input shape out of range"))?;
-        let n = get_len(r, "probe count")?;
-        let classes = get_len(r, "class count")?;
+        let n = r_len(r)?;
+        let classes = r_len(r)?;
         let words = len.div_ceil(64);
         // Every vector below grows with the data actually read, never
         // reserved from a declared count.
         let mut planes = Vec::new();
         for _ in 0..n {
-            let buf = (0..words)
-                .map(|_| get_u64(r))
-                .collect::<Result<Vec<_>, _>>()?;
+            let buf = r_u64s(r, words)?;
             let rem = len % 64;
             if rem > 0 && buf[words - 1] >> rem != 0 {
                 return Err(SnapshotError::Corrupt("probe plane tail bits set"));
@@ -760,13 +752,11 @@ impl ProbeSet {
         }
         let mut golden = Vec::new();
         for _ in 0..n {
-            let label = get_len(r, "golden label")?;
+            let label = r_len(r)?;
             if label >= classes.max(1) {
                 return Err(SnapshotError::Corrupt("golden label out of range"));
             }
-            let scores = (0..classes)
-                .map(|_| get_u32(r).map(f32::from_bits))
-                .collect::<Result<Vec<_>, _>>()?;
+            let scores = r_vec(r, classes, r_f32)?;
             golden.push((label, scores));
         }
         Ok(Self {
@@ -795,35 +785,6 @@ impl ProbeSet {
             File::open(path).map_err(SnapshotError::Io)?,
         ))
     }
-}
-
-fn put_u32<W: Write>(w: &mut W, v: u32) -> Result<(), SnapshotError> {
-    w.write_all(&v.to_le_bytes()).map_err(SnapshotError::Io)
-}
-
-fn put_u64<W: Write>(w: &mut W, v: u64) -> Result<(), SnapshotError> {
-    w.write_all(&v.to_le_bytes()).map_err(SnapshotError::Io)
-}
-
-fn get_u32<R: Read>(r: &mut R) -> Result<u32, SnapshotError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(SnapshotError::Io)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_u64<R: Read>(r: &mut R) -> Result<u64, SnapshotError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(SnapshotError::Io)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a length field with the sanity cap applied.
-fn get_len<R: Read>(r: &mut R, what: &'static str) -> Result<usize, SnapshotError> {
-    let v = get_u64(r)?;
-    if v > MAX_LEN {
-        return Err(SnapshotError::Corrupt(what));
-    }
-    Ok(v as usize)
 }
 
 #[cfg(test)]
@@ -872,7 +833,7 @@ mod tests {
         assert!(!sites.is_empty());
         for site in &sites {
             if let FaultKind::StuckCell { row, col, value } = site.fault.kind {
-                let m = super::layer_matrix(&packed.layers()[site.layer]).unwrap();
+                let m = packed.layers()[site.layer].matrix().unwrap();
                 let k = m.row_tiles();
                 let (g, r) = (site.fault.die / k, site.fault.die % k);
                 let global_row = m.row_tile_starts()[r] + row;
@@ -910,9 +871,7 @@ mod tests {
         let mut journal = PatchJournal::new();
         let mut checked = 0;
         for site in report.detected.iter().take(10) {
-            let dims = super::layer_matrix(&packed.layers()[site.layer])
-                .unwrap()
-                .tile_dims();
+            let dims = packed.layers()[site.layer].matrix().unwrap().tile_dims();
             m.apply_layer_faults_journaled(
                 site.layer,
                 &site.fault.to_draws(dims.len()),

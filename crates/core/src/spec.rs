@@ -66,7 +66,7 @@ pub enum CellSpec {
     },
     /// The classifier head: a binary-weight linear layer with bias whose
     /// real-valued logits feed softmax. Deployed as a digital popcount
-    /// layer (see DESIGN.md §2).
+    /// layer (see "Modelling substitutions" in `ARCHITECTURE.md`).
     Classifier {
         /// Input features.
         in_f: usize,

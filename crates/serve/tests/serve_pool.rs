@@ -54,7 +54,10 @@ fn pool_matches_single_worker_reference_in_order() {
         .clone()
         .with_workers(1)
         .expect("one worker is always valid");
-    let want: Vec<(usize, Vec<f32>)> = planes.iter().map(|p| reference.classify_plane(p)).collect();
+    let want: Vec<(usize, Vec<f32>)> = planes
+        .iter()
+        .flat_map(|p| reference.classify_planes(std::slice::from_ref(p)))
+        .collect();
 
     let server = Server::start(packed, serve_config()).expect("server starts");
     for pass in 0..3 {
@@ -90,7 +93,10 @@ fn faulted_model_serves_bit_identical() {
         &mut rng,
     );
     assert!(defects > 0, "fault campaign drew no defects");
-    let want: Vec<(usize, Vec<f32>)> = planes.iter().map(|p| packed.classify_plane(p)).collect();
+    let want: Vec<(usize, Vec<f32>)> = planes
+        .iter()
+        .flat_map(|p| packed.classify_planes(std::slice::from_ref(p)))
+        .collect();
 
     let server = Server::start(packed, serve_config()).expect("server starts");
     let pending: Vec<_> = planes

@@ -1,11 +1,11 @@
 //! The packed layer pipeline on the CIFAR-class VGG: lower a deployed
-//! VGG-small onto the bitplane substrate, verify bit-exactness against the
-//! scalar digital reference, and time every pipeline stage.
+//! VGG-small onto the bitplane substrate and verify bit-exactness against
+//! the scalar digital reference. Per-stage timings of the packed
+//! pipeline come from the `diebench` benchmark (`--trace 1`).
 //!
 //! Run with: `cargo run --release --example packed_vgg`
 
 use bnn_datasets::{objects::generate_objects, SynthConfig};
-use std::time::{Duration, Instant};
 use superbnn::config::HardwareConfig;
 use superbnn::deploy::deploy;
 use superbnn::spec::NetSpec;
@@ -58,81 +58,13 @@ fn main() {
     println!("bit-identical predictions: {agree}/{n}");
     assert_eq!(agree, n, "packed and scalar digital engines diverged");
 
-    // Per-stage timings: drive the plan by hand over the whole batch.
-    let reps = 20usize;
-    let mut stage_time = vec![Duration::ZERO; packed.layers().len()];
-    let batch_planes = superbnn::deploy::PackedModel::pack_batch(&data.images, n);
-    let start = Instant::now();
-    for _ in 0..reps {
-        for s in 0..n {
-            let mut plane = batch_planes.row_plane(s);
-            let mut shape = packed.input_shape();
-            for (li, layer) in packed.layers().iter().enumerate() {
-                let t0 = Instant::now();
-                let (next, next_shape) = layer.forward(plane, shape);
-                stage_time[li] += t0.elapsed();
-                plane = next;
-                shape = next_shape;
-            }
-            std::hint::black_box(packed.classifier().scores_plane(&plane));
-        }
-    }
-    let total = start.elapsed();
-    println!("\nper-stage timings over {n} samples x {reps} reps:");
-    let mut shape = packed.input_shape();
-    for (li, layer) in packed.layers().iter().enumerate() {
-        let out_shape = layer.out_shape(shape);
-        // Packed words a stage moves per sample: input plane + output
-        // plane, plus the unfolded im2col field matrix for conv stages —
-        // the actual traffic through the wide-word kernels, and the
-        // number the per-stage times should be read against.
-        let in_words = (shape[0] * shape[1] * shape[2]).div_ceil(64);
-        let out_words = (out_shape[0] * out_shape[1] * out_shape[2]).div_ceil(64);
-        let field_words = match layer {
-            superbnn::deploy::PackedLayer::Conv(c) => {
-                let (_, k, _, _) = c.geometry();
-                out_shape[1] * out_shape[2] * (shape[0] * k * k).div_ceil(64)
-            }
-            _ => 0,
-        };
-        println!(
-            "  stage {li:>2} {:<8} {:>3}x{}x{} -> {:>3}x{}x{}  {:>8.2} ms  ({:>4.1}%)  {:>5} words/sample",
-            layer.name(),
-            shape[0],
-            shape[1],
-            shape[2],
-            out_shape[0],
-            out_shape[1],
-            out_shape[2],
-            stage_time[li].as_secs_f64() * 1e3,
-            100.0 * stage_time[li].as_secs_f64() / total.as_secs_f64(),
-            in_words + field_words + out_words,
-        );
-        shape = out_shape;
-    }
-    println!(
-        "  total {:.2} ms  ({:.0} samples/s single-thread)",
-        total.as_secs_f64() * 1e3,
-        (reps * n) as f64 / total.as_secs_f64()
-    );
-
-    // Throughput against the scalar reference.
-    let start = Instant::now();
+    // The packed dataset entry point agrees with the scalar one too.
     let acc_scalar = deployed.accuracy_digital(&data, None);
-    let t_scalar = start.elapsed();
-    let start = Instant::now();
     let acc_packed = packed.accuracy(&data, None);
-    let t_packed = start.elapsed();
     println!(
-        "\nscalar digital engine: accuracy {:.1}% in {:.1} ms",
+        "accuracy: scalar digital {:.1}%, packed pipeline {:.1}%",
         100.0 * acc_scalar,
-        t_scalar.as_secs_f64() * 1e3
-    );
-    println!(
-        "packed pipeline      : accuracy {:.1}% in {:.1} ms  ({:.1}x faster)",
-        100.0 * acc_packed,
-        t_packed.as_secs_f64() * 1e3,
-        t_scalar.as_secs_f64() / t_packed.as_secs_f64()
+        100.0 * acc_packed
     );
     assert_eq!(acc_scalar, acc_packed);
 }

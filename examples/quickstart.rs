@@ -11,7 +11,8 @@ use superbnn::spec::NetSpec;
 use superbnn::trainer::{TrainConfig, Trainer};
 
 fn main() {
-    // 1. Data: the synthetic MNIST stand-in (see DESIGN.md §2).
+    // 1. Data: the synthetic MNIST stand-in (see "Modelling substitutions"
+    //    in ARCHITECTURE.md).
     let data = generate_digits(&SynthConfig {
         samples_per_class: 60,
         ..Default::default()

@@ -123,9 +123,10 @@ fn conv_pipeline_reproduces_the_committed_fixture() {
         return;
     }
 
+    let batch = packed.classify_batch(&data.images, Some(GOLDEN_CONV_SAMPLES));
     for i in 0..GOLDEN_CONV_SAMPLES {
         let (scalar_label, scalar_scores) = deployed.classify_digital(&data.images, i);
-        let (packed_label, packed_scores) = packed.classify(&data.images, i);
+        let (packed_label, packed_scores) = batch[i].clone();
         assert_eq!(
             scalar_label, GOLDEN_CONV_LABELS[i],
             "scalar conv label, sample {i}"
@@ -180,9 +181,10 @@ fn both_engines_reproduce_the_committed_fixture() {
         return;
     }
 
+    let batch = packed.classify_batch(&data.images, Some(GOLDEN_SAMPLES));
     for i in 0..GOLDEN_SAMPLES {
         let (scalar_label, scalar_scores) = deployed.classify_digital(&data.images, i);
-        let (packed_label, packed_scores) = packed.classify(&data.images, i);
+        let (packed_label, packed_scores) = batch[i].clone();
         assert_eq!(scalar_label, GOLDEN_LABELS[i], "scalar label, sample {i}");
         assert_eq!(packed_label, GOLDEN_LABELS[i], "packed label, sample {i}");
         for c in 0..10 {

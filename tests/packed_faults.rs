@@ -60,9 +60,9 @@ fn moderate_fault_rates_stay_bit_exact() {
         samples_per_class: 2,
         ..Default::default()
     });
-    for i in 0..data.len() {
+    for (i, got) in packed.classify_batch(&data.images, None).iter().enumerate() {
         assert_eq!(
-            packed.classify(&data.images, i),
+            *got,
             deployed.classify_digital(&data.images, i),
             "sample {i}"
         );
@@ -87,9 +87,9 @@ fn packed_injection_on_ragged_geometry_matches_scalar() {
         let a = scalar.inject_faults(&fm, &mut DeviceRng::seed_from_u64(17));
         let b = packed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(17));
         assert_eq!(a, b, "defect counts at rates ({stuck}, {dead})");
-        for i in 0..data.len() {
+        for (i, got) in packed.classify_batch(&data.images, None).iter().enumerate() {
             assert_eq!(
-                packed.classify(&data.images, i),
+                *got,
                 scalar.classify_digital(&data.images, i),
                 "rates ({stuck}, {dead}), sample {i}"
             );

@@ -19,6 +19,13 @@ use superbnn::deploy::{
 use superbnn::equiv::{DieChecker, Engine, ModelChecker};
 use superbnn::spec::{CellSpec, NetSpec};
 
+/// The packed input plane of every sample of an `[N, C, H, W]` batch.
+fn planes_of(images: &bnn_nn::Tensor) -> Vec<BitPlane> {
+    (0..images.shape()[0])
+        .map(|i| BitMap::from_tensor_sample(images, i).to_plane())
+        .collect()
+}
+
 /// A deterministic pseudo-random ±1 matrix.
 fn sign_matrix(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<f32> {
     (0..n)
@@ -315,10 +322,12 @@ proptest! {
         // The equivalence checker walks the faulted scalar deployment and
         // its lowering cell by cell, localizing any divergence.
         let checker = ModelChecker::new(&scalar);
+        let (got, relowered_got) =
+            (packed.classify_batch(&images, None), relowered.classify_batch(&images, None));
         for i in 0..3 {
             let want = scalar.classify_digital(&images, i);
-            prop_assert_eq!(packed.classify(&images, i), want.clone(), "sample {}", i);
-            prop_assert_eq!(relowered.classify(&images, i), want, "relowered sample {}", i);
+            prop_assert_eq!(&got[i], &want, "sample {}", i);
+            prop_assert_eq!(&relowered_got[i], &want, "relowered sample {}", i);
             let plane = BitMap::from_tensor_sample(&images, i).to_plane();
             let pair = (Engine::ScalarDigital, Engine::PackedDigital);
             if let Err(ce) = checker.check_plane(pair, &plane) {
@@ -371,7 +380,7 @@ proptest! {
             );
             prop_assert_eq!(&patched, &witness, "patched state, trial {}", trial);
             // ...survives an evaluation...
-            let _ = patched.classify(&images, 0);
+            let _ = patched.classify_batch(&images, None);
             // ...and reverts to the pristine model, ready for the next
             // trial without re-cloning.
             patched.revert_faults(&mut journal);
@@ -407,15 +416,13 @@ proptest! {
             (0..3 * 36).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
         let root = CounterStream::from_seed(seed);
-        let forward: Vec<_> = (0..3)
-            .map(|i| packed.classify_stochastic_ctr(&tables, &images, i, &root.derive(i as u64)))
-            .collect();
+        let planes = planes_of(&images);
+        let classify = |i: usize| {
+            packed.classify_stochastic_plane_ctr(&tables, &planes[i], &root.derive(i as u64))
+        };
+        let forward: Vec<_> = (0..3).map(classify).collect();
         for i in (0..3).rev() {
-            prop_assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &images, i, &root.derive(i as u64)),
-                forward[i].clone(),
-                "sample {}", i
-            );
+            prop_assert_eq!(classify(i), forward[i].clone(), "sample {}", i);
         }
     }
 
@@ -552,12 +559,8 @@ proptest! {
             &[n, c, h, w],
             (0..n * c * h * w).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        for i in 0..n {
-            prop_assert_eq!(
-                packed.classify(&images, i),
-                deployed.classify_digital(&images, i),
-                "sample {}", i
-            );
+        for (i, got) in packed.classify_batch(&images, None).iter().enumerate() {
+            prop_assert_eq!(got, &deployed.classify_digital(&images, i), "sample {}", i);
         }
     }
 
@@ -600,12 +603,8 @@ proptest! {
             &[2, c, h, w],
             (0..2 * c * h * w).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        for i in 0..2 {
-            prop_assert_eq!(
-                packed.classify(&images, i),
-                scalar.classify_digital(&images, i),
-                "sample {}", i
-            );
+        for (i, got) in packed.classify_batch(&images, None).iter().enumerate() {
+            prop_assert_eq!(got, &scalar.classify_digital(&images, i), "sample {}", i);
         }
     }
 
@@ -697,7 +696,7 @@ proptest! {
         }
     }
 
-    /// Model level, dense pipeline: `PackedModel::classify_stochastic_ctr`
+    /// Model level, dense pipeline: `PackedModel::classify_stochastic_plane_ctr`
     /// reproduces `DeployedModel::classify` — labels and scores — from the
     /// same sample streams, including under device-parameter variation
     /// applied to the scalar side.
@@ -735,10 +734,10 @@ proptest! {
             (0..n * 36).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
         let root = CounterStream::from_seed(seed ^ 0xD0);
-        for i in 0..n {
+        for (i, plane) in planes_of(&images).iter().enumerate() {
             let stream = root.derive(i as u64);
             prop_assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+                packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
                 deployed.classify(&images, i, &stream),
                 "sample {}", i
             );
@@ -788,10 +787,10 @@ proptest! {
             (0..2 * c * h * w).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
         let root = CounterStream::from_seed(seed ^ 0xE0);
-        for i in 0..2 {
+        for (i, plane) in planes_of(&images).iter().enumerate() {
             let stream = root.derive(i as u64);
             prop_assert_eq!(
-                packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+                packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
                 deployed.classify(&images, i, &stream),
                 "sample {}", i
             );
@@ -1116,10 +1115,10 @@ fn packed_stochastic_matches_scalar_with_approximate_counter() {
         (0..3 * 64).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
     );
     let root = CounterStream::from_seed(11);
-    for i in 0..3 {
+    for (i, plane) in planes_of(&images).iter().enumerate() {
         let stream = root.derive(i as u64);
         assert_eq!(
-            packed.classify_stochastic_ctr(&tables, &images, i, &stream),
+            packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
             deployed.classify(&images, i, &stream),
             "sample {i}"
         );

@@ -92,9 +92,11 @@ fn roundtrip(model: &PackedModel) -> PackedModel {
 
 /// Every sample of `data` must classify bit-identically on both models.
 fn assert_bit_identical(a: &PackedModel, b: &PackedModel, data: &bnn_datasets::Dataset) {
+    let batch_a = a.classify_batch(&data.images, None);
+    let batch_b = b.classify_batch(&data.images, None);
     for i in 0..data.len() {
-        let (la, sa) = a.classify(&data.images, i);
-        let (lb, sb) = b.classify(&data.images, i);
+        let (la, sa) = &batch_a[i];
+        let (lb, sb) = &batch_b[i];
         assert_eq!(la, lb, "label divergence at sample {i}");
         let bits_a: Vec<u32> = sa.iter().map(|s| s.to_bits()).collect();
         let bits_b: Vec<u32> = sb.iter().map(|s| s.to_bits()).collect();
@@ -118,8 +120,9 @@ fn cold_started_model_reproduces_the_committed_fixture() {
     let loaded = PackedModel::load_snapshot(&path).expect("snapshot loads");
     std::fs::remove_file(&path).ok();
 
+    let batch = loaded.classify_batch(&data.images, Some(GOLDEN_LABELS.len()));
     for (i, &want_label) in GOLDEN_LABELS.iter().enumerate() {
-        let (label, scores) = loaded.classify(&data.images, i);
+        let (label, scores) = batch[i].clone();
         assert_eq!(label, want_label, "cold-started label, sample {i}");
         for c in 0..10 {
             assert_eq!(
