@@ -2,11 +2,17 @@
 //!
 //! `std` does not expose `erf`, and the allowed dependency set contains no
 //! math crate, so we implement it here. For `|x| < 3` we sum the Maclaurin
-//! series of `erf`; for `|x| ≥ 3` we evaluate the classical continued
+//! series of `erf`; for `3 ≤ |x| < 6` we evaluate the classical continued
 //! fraction of `erfc` by backward recurrence. Both regimes are accurate to
 //! better than `1e-13` absolute error — far below the Monte-Carlo noise of
 //! any experiment in this repository and below the device calibration
 //! uncertainty the paper works with. `erf(0)` is exactly `0`.
+//!
+//! From `|x| = 6` on, `erf` returns `±1` without evaluating anything. That
+//! is the value the continued fraction already rounds to there:
+//! `erfc(6) < e⁻³⁶/(6√π) ≈ 2.2·10⁻¹⁷ < 2⁻⁵⁴`, half an ulp below 1, so
+//! `1 − erfc(x)` rounds to exactly 1 (the evaluated form does so from
+//! `x ≈ 5.92`).
 
 /// `2 / √π`, the series prefactor and the derivative constant.
 const TWO_OVER_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
@@ -32,10 +38,15 @@ pub fn erf(x: f64) -> f64 {
     let ax = x.abs();
     if ax < 3.0 {
         sign * erf_series(ax)
-    } else {
+    } else if ax < SATURATED {
         sign * (1.0 - erfc_cf(ax))
+    } else {
+        sign
     }
 }
+
+/// `|x|` from which [`erf`] is exactly `±1` in f64 (see the module docs).
+pub(crate) const SATURATED: f64 = 6.0;
 
 /// Complementary error function `erfc(x) = 1 − erf(x)`.
 ///
@@ -189,6 +200,34 @@ mod tests {
             assert!(cur >= prev, "erf not monotone at {x}");
             prev = cur;
         }
+    }
+
+    /// The evaluation `erf` did for every `|x| ≥ 3` before the `±1`
+    /// cutoff.
+    fn continued_fraction_erf(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        sign * (1.0 - erfc_cf(x.abs()))
+    }
+
+    #[test]
+    fn saturation_cutoff_returns_the_evaluated_value() {
+        // A dense sweep of ±[5.5, 30]: the cutoff returns exactly what the
+        // continued fraction rounds to, and that is already ±1 from 5.92.
+        let mut x = 5.5f64;
+        while x <= 30.0 {
+            for v in [x, -x] {
+                assert_eq!(
+                    erf(v).to_bits(),
+                    continued_fraction_erf(v).to_bits(),
+                    "erf({v})"
+                );
+            }
+            x += 1.0 / 4096.0;
+        }
+        assert_eq!(continued_fraction_erf(5.93), 1.0);
+        assert!(continued_fraction_erf(5.9) < 1.0);
+        assert_eq!(erf(SATURATED), 1.0);
+        assert_eq!(erf(-SATURATED), -1.0);
     }
 
     #[test]

@@ -19,6 +19,34 @@ use serde::{Deserialize, Serialize};
 /// The square root of π, as used in Eq. 1.
 pub const SQRT_PI: f64 = 1.772_453_850_905_516;
 
+/// `|u|` below which `P = 0.5 + 0.5·erf(u)` lies strictly inside `(0, 1)`
+/// in f64: `erfc(5.5) ≈ 7.4·10⁻¹⁵` is far above the `2⁻⁵⁴` at which the
+/// sum rounds to 0 or 1 (it first does near `|u| = 5.83`). Every input in
+/// this band draws.
+const DRAW_BAND: f64 = 5.5;
+
+/// Grid points per unit of `u` in [`band_table`].
+const BAND_GRID: f64 = 128.0;
+
+/// Slack on each side of a [`band_table`] bracket. Both the table entries
+/// and `probability_one` come from [`erf`], which is within `10⁻¹³` of the
+/// true erf; the true `P` is increasing, so `P(u)` at any `u` between two
+/// grid points lies between their entries up to twice that error, far
+/// inside this slack.
+const BAND_SLACK: f64 = 1e-12;
+
+/// `P(u) = 0.5 + 0.5·erf(u)` on the grid `u = −DRAW_BAND + i / BAND_GRID`,
+/// `i = 0 ..= 2·DRAW_BAND·BAND_GRID`, computed once.
+fn band_table() -> &'static [f64] {
+    static TABLE: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let points = (2.0 * DRAW_BAND * BAND_GRID) as usize + 1;
+        (0..points)
+            .map(|i| 0.5 + 0.5 * erf(i as f64 / BAND_GRID - DRAW_BAND))
+            .collect()
+    })
+}
+
 /// An erf-shaped stochastic threshold law.
 ///
 /// `GrayZone` is unit-agnostic: use µA for the current-domain law (Eq. 1) or
@@ -72,7 +100,12 @@ impl GrayZone {
                 _ => 0.5,
             };
         }
-        0.5 + 0.5 * erf(SQRT_PI * (x - self.threshold) / self.width)
+        0.5 + 0.5 * erf(self.arg(x))
+    }
+
+    /// The normalized erf argument `u = √π·(x − threshold)/width`.
+    fn arg(&self, x: f64) -> f64 {
+        SQRT_PI * (x - self.threshold) / self.width
     }
 
     /// Expected signed output value `E[±1] = 2·P(x) − 1 = erf(√π(x−th)/Δ)`.
@@ -83,7 +116,7 @@ impl GrayZone {
         if self.width == 0.0 {
             return 2.0 * self.probability_one(x) - 1.0;
         }
-        erf(SQRT_PI * (x - self.threshold) / self.width)
+        erf(self.arg(x))
     }
 
     /// Derivative of [`GrayZone::expected_value`] with respect to `x`:
@@ -95,8 +128,7 @@ impl GrayZone {
         if self.width == 0.0 {
             return 0.0;
         }
-        let u = SQRT_PI * (x - self.threshold) / self.width;
-        erf_derivative(u) * SQRT_PI / self.width
+        erf_derivative(self.arg(x)) * SQRT_PI / self.width
     }
 
     /// Half-width of the band where the output is noticeably random, defined
@@ -127,7 +159,30 @@ impl GrayZone {
     }
 
     /// Samples one output bit: `true` for logic '1'.
+    ///
+    /// The result is `r < P(x)` for one uniform draw `r`, and no draw is
+    /// made where `P` is exactly 0 or 1 (from `|u| = 6` on, [`erf`] returns
+    /// `±1` without evaluating anything). Inside the draw band (`|u| <
+    /// 5.5`) the draw is first compared against the two precomputed values
+    /// of `P` that bracket `u`; the exact `P` is evaluated only when `r`
+    /// falls between them, so the outcome and the draws are those of the
+    /// exact law.
     pub fn sample<R: rand::Rng + ?Sized>(&self, x: f64, rng: &mut R) -> bool {
+        if self.width > 0.0 {
+            let u = self.arg(x);
+            if u.abs() < DRAW_BAND {
+                let r = rng.gen::<f64>();
+                let table = band_table();
+                let i = (((u + DRAW_BAND) * BAND_GRID) as usize).min(table.len() - 2);
+                if r < table[i] - BAND_SLACK {
+                    return true;
+                }
+                if r >= table[i + 1] + BAND_SLACK {
+                    return false;
+                }
+                return r < self.probability_one(x);
+            }
+        }
         let p = self.probability_one(x);
         // Avoid an RNG draw for the (common) saturated cases so deterministic
         // regions of the crossbar stay bit-exact across bit-stream lengths.
@@ -233,6 +288,97 @@ mod tests {
             (freq - p).abs() < 0.01,
             "sampled frequency {freq} vs analytic {p}"
         );
+    }
+
+    /// `sample` as it was before the draw band: evaluate `P`, draw only
+    /// where it is strictly inside `(0, 1)`.
+    fn reference_sample(gz: &GrayZone, x: f64, rng: &mut rand::rngs::StdRng) -> bool {
+        let p = gz.probability_one(x);
+        if p <= 0.0 {
+            false
+        } else if p >= 1.0 {
+            true
+        } else {
+            rand::Rng::gen::<f64>(rng) < p
+        }
+    }
+
+    #[test]
+    fn draw_band_matches_the_exact_law() {
+        // Inputs on both sides of |u| = 5.5 (the band edge) and |u| = 6
+        // (the erf cutoff), plus a sweep across the band: the same outputs
+        // and the same generator state afterwards.
+        let gz = GrayZone::new(0.1, 0.37);
+        let at_u = |u: f64| gz.threshold + u * gz.width / SQRT_PI;
+        let mut us = Vec::new();
+        for edge in [DRAW_BAND, crate::erf::SATURATED] {
+            for d in [-1e-9, 0.0, 1e-9, -0.01, 0.01] {
+                us.extend([edge + d, -(edge + d)]);
+            }
+        }
+        us.extend((-448..=448).map(|i| f64::from(i) / 64.0));
+        for seed in 0..64 {
+            let mut fast = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut reference = fast.clone();
+            for &u in &us {
+                let x = at_u(u);
+                assert_eq!(
+                    gz.sample(x, &mut fast),
+                    reference_sample(&gz, x, &mut reference),
+                    "u = {u}, seed {seed}"
+                );
+            }
+            assert_eq!(
+                rand::RngCore::next_u64(&mut fast),
+                rand::RngCore::next_u64(&mut reference)
+            );
+        }
+        // Inside the band P is strictly between 0 and 1, so every input
+        // there draws.
+        assert!(gz.probability_one(at_u(DRAW_BAND)) < 1.0);
+        assert!(gz.probability_one(at_u(-DRAW_BAND)) > 0.0);
+    }
+
+    /// Replays fixed 64-bit words.
+    struct Replay(Vec<u64>);
+
+    impl rand::RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.0.remove(0)
+        }
+    }
+
+    #[test]
+    fn band_table_brackets_the_exact_probability() {
+        // A sweep at 2⁻¹² off the grid: every P lies inside its bracket.
+        let table = band_table();
+        let mut u = -DRAW_BAND;
+        while u < DRAW_BAND {
+            let p = 0.5 + 0.5 * erf(u);
+            let i = (((u + DRAW_BAND) * BAND_GRID) as usize).min(table.len() - 2);
+            assert!(
+                table[i] - BAND_SLACK <= p && p <= table[i + 1] + BAND_SLACK,
+                "u = {u}"
+            );
+            u += 1.0 / 4096.0 + 1e-9;
+        }
+        assert_eq!(table.len(), 1409);
+    }
+
+    #[test]
+    fn draws_inside_a_bracket_use_the_exact_probability() {
+        // Draws one 2⁻⁵³ step either side of P fall inside the bracket of
+        // table entries around it, so they are decided by the exact law:
+        // below P is '1', at or above P is '0'.
+        let gz = GrayZone::new(0.0, 1.0);
+        for x in [-0.9, -0.2, 0.0, 0.3, 1.1, 2.4] {
+            let p = gz.probability_one(x);
+            let word = |r: f64| ((r * (1u64 << 53) as f64) as u64) << 11;
+            let below = p - 2f64.powi(-53);
+            let above = p + 2f64.powi(-53);
+            assert!(gz.sample(x, &mut Replay(vec![word(below)])), "x = {x}");
+            assert!(!gz.sample(x, &mut Replay(vec![word(above)])), "x = {x}");
+        }
     }
 
     #[test]

@@ -108,13 +108,25 @@ impl Binarizer {
                 }
             }
             Binarizer::Randomized(law) => {
-                let u = crate::binarize::erf_arg(law, x as f64);
-                let bump = (-u * u).exp() as f32;
-                let ste = if x.abs() <= 1.0 { 1.0 } else { 0.0 };
-                bump.max(ste)
+                // The bump never exceeds 1, so inside the clip the
+                // envelope is the STE's 1.
+                if x.abs() <= 1.0 {
+                    1.0
+                } else {
+                    erf_bump(law, x)
+                }
             }
         }
     }
+}
+
+/// The unit-peak bump `e^(−u²)` outside the STE clip; `max` keeps a NaN
+/// input at the clipped STE's 0. Out of line so that a caller's loop does
+/// not evaluate `exp` for every element to vectorize the select.
+#[inline(never)]
+fn erf_bump(law: &GrayZone, x: f32) -> f32 {
+    let u = erf_arg(law, x as f64);
+    ((-u * u).exp() as f32).max(0.0)
 }
 
 /// The normalized erf argument `u = √π·(x − Vth)/ΔVin` of a gray-zone law.

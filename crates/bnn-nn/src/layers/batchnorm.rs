@@ -70,8 +70,10 @@ impl BatchNorm {
         self.channels
     }
 
-    /// Per-channel element count and a channel-indexed iteration helper.
-    /// Returns `(channel_of_index, elements_per_channel)`.
+    /// The `[N, C, per]` block structure of a 2-D (`per = 1`) or 4-D
+    /// (`per = H·W`) input: returns `(N, per)`. Walking the blocks in
+    /// memory order visits each channel's elements in the same order as a
+    /// flat scan, so the per-channel sums need no index arithmetic.
     fn plan(shape: &[usize], channels: usize) -> (usize, usize) {
         match shape.len() {
             2 => {
@@ -83,14 +85,6 @@ impl BatchNorm {
                 (shape[0], shape[2] * shape[3])
             }
             _ => panic!("BatchNorm expects 2-D or 4-D input, got {shape:?}"),
-        }
-    }
-
-    fn channel_of(shape: &[usize], idx: usize) -> usize {
-        match shape.len() {
-            2 => idx % shape[1],
-            4 => (idx / (shape[2] * shape[3])) % shape[1],
-            _ => unreachable!(),
         }
     }
 }
@@ -119,15 +113,16 @@ impl Layer for BatchNorm {
         let (mean, var) = if mode == Mode::Train {
             let mut mean = vec![0.0f32; self.channels];
             let mut var = vec![0.0f32; self.channels];
-            for (i, &x) in input.data().iter().enumerate() {
-                mean[Self::channel_of(&shape, i)] += x;
+            let blocks = input.data().chunks_exact(per);
+            for (block, c) in blocks.clone().zip((0..self.channels).cycle()) {
+                mean[c] = block.iter().fold(mean[c], |acc, &x| acc + x);
             }
             for m in mean.iter_mut() {
                 *m /= count;
             }
-            for (i, &x) in input.data().iter().enumerate() {
-                let c = Self::channel_of(&shape, i);
-                var[c] += (x - mean[c]) * (x - mean[c]);
+            for (block, c) in blocks.zip((0..self.channels).cycle()) {
+                let m = mean[c];
+                var[c] = block.iter().fold(var[c], |acc, &x| acc + (x - m) * (x - m));
             }
             for v in var.iter_mut() {
                 *v /= count;
@@ -150,11 +145,18 @@ impl Layer for BatchNorm {
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut xhat = vec![0.0f32; input.numel()];
         let mut out = vec![0.0f32; input.numel()];
-        for (i, &x) in input.data().iter().enumerate() {
-            let c = Self::channel_of(&shape, i);
-            let xh = (x - mean[c]) * inv_std[c];
-            xhat[i] = xh;
-            out[i] = self.gamma.data()[c] * xh + self.beta.data()[c];
+        let (gamma, beta) = (self.gamma.data(), self.beta.data());
+        let blocks = input
+            .data()
+            .chunks_exact(per)
+            .zip(xhat.chunks_exact_mut(per))
+            .zip(out.chunks_exact_mut(per));
+        for (((x, xh), y), c) in blocks.zip((0..self.channels).cycle()) {
+            let (m, s, g, b) = (mean[c], inv_std[c], gamma[c], beta[c]);
+            for ((&x, xh), y) in x.iter().zip(xh).zip(y) {
+                *xh = (x - m) * s;
+                *y = g * *xh + b;
+            }
         }
 
         if mode == Mode::Train {
@@ -180,10 +182,17 @@ impl Layer for BatchNorm {
         // Per-channel sums of g and g·x̂.
         let mut sum_g = vec![0.0f32; self.channels];
         let mut sum_gx = vec![0.0f32; self.channels];
-        for (i, &g) in grad_out.data().iter().enumerate() {
-            let c = Self::channel_of(&shape, i);
-            sum_g[c] += g;
-            sum_gx[c] += g * cache.xhat.data()[i];
+        let blocks = grad_out
+            .data()
+            .chunks_exact(per)
+            .zip(cache.xhat.data().chunks_exact(per));
+        for ((g, xh), c) in blocks.zip((0..self.channels).cycle()) {
+            let (mut sg, mut sgx) = (sum_g[c], sum_gx[c]);
+            for (&g, &xh) in g.iter().zip(xh) {
+                sg += g;
+                sgx += g * xh;
+            }
+            (sum_g[c], sum_gx[c]) = (sg, sgx);
         }
         for c in 0..self.channels {
             self.beta_grad.data_mut()[c] += sum_g[c];
@@ -192,10 +201,17 @@ impl Layer for BatchNorm {
 
         // dx = (γ/σ) (g − mean(g) − x̂ · mean(g·x̂))
         let mut dx = vec![0.0f32; grad_out.numel()];
-        for (i, &g) in grad_out.data().iter().enumerate() {
-            let c = Self::channel_of(&shape, i);
+        let blocks = grad_out
+            .data()
+            .chunks_exact(per)
+            .zip(cache.xhat.data().chunks_exact(per))
+            .zip(dx.chunks_exact_mut(per));
+        for (((g, xh), dx), c) in blocks.zip((0..self.channels).cycle()) {
             let coef = self.gamma.data()[c] * cache.inv_std[c];
-            dx[i] = coef * (g - sum_g[c] / count - cache.xhat.data()[i] * sum_gx[c] / count);
+            let (mean_g, sgx) = (sum_g[c] / count, sum_gx[c]);
+            for ((&g, &xh), dx) in g.iter().zip(xh).zip(dx) {
+                *dx = coef * (g - mean_g - xh * sgx / count);
+            }
         }
         Tensor::from_vec(&shape, dx)
     }

@@ -1,9 +1,9 @@
 //! 2-D convolution, optionally with XNOR-Net binarized weights.
 
-use super::im2col::{col2im, conv_out, im2col_filled};
+use super::im2col::{conv_out, Unfold};
 use super::{Layer, Mode, ParamRef};
 use crate::binarize::binarize_weights;
-use crate::tensor::Tensor;
+use crate::tensor::{gemm, strided, PackedLhs, Rhs, Tensor};
 use crate::NnRng;
 use rand::Rng;
 
@@ -28,11 +28,12 @@ pub struct Conv2d {
     cache: Option<Cache>,
 }
 
+/// What backward needs: the input (whose receptive fields backward reads
+/// again, one padded sample at a time, instead of keeping the 9× larger
+/// unfolded matrix) and the effective weights the forward multiplied by.
 struct Cache {
-    cols: Tensor,
-    input_shape: [usize; 4],
-    /// Per-output-channel α when binarized (1.0 otherwise).
-    alphas: Vec<f32>,
+    input: Tensor,
+    weff: Tensor,
 }
 
 impl Conv2d {
@@ -73,7 +74,8 @@ impl Conv2d {
     }
 
     /// Sets the padding fill value (BNN deployments use −1; see
-    /// [`im2col_filled`]). Returns `self` for builder-style use.
+    /// [`im2col_filled`](super::im2col_filled)). Returns `self` for
+    /// builder-style use.
     #[must_use]
     pub fn with_pad_value(mut self, fill: f32) -> Self {
         self.pad_value = fill;
@@ -196,85 +198,104 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode, _rng: &mut NnRng) -> Tensor {
+impl Conv2d {
+    fn unfold_for(&self, input: &Tensor) -> (usize, Unfold) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
         assert_eq!(shape[1], self.in_channels, "channel mismatch");
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let oh = conv_out(h, self.kernel, self.stride, self.pad);
-        let ow = conv_out(w, self.kernel, self.stride, self.pad);
+        let g = Unfold::new(
+            self.in_channels,
+            shape[2],
+            shape[3],
+            self.kernel,
+            self.stride,
+            self.pad,
+        );
+        (shape[0], g)
+    }
+}
 
-        let cols = im2col_filled(input, self.kernel, self.stride, self.pad, self.pad_value);
-        let (weff, alphas) = self.effective_weight();
-        let out2d = weff.matmul(&cols); // [O, N·oh·ow]
-
-        // Rearrange [O, N·oh·ow] → [N, O, oh, ow].
-        let mut out = vec![0.0f32; n * self.out_channels * oh * ow];
-        let hw = oh * ow;
-        for o in 0..self.out_channels {
-            for ni in 0..n {
-                for p in 0..hw {
-                    out[(ni * self.out_channels + o) * hw + p] = out2d.at2(o, ni * hw + p);
-                }
-            }
+impl Layer for Conv2d {
+    /// Per sample: pad the input once, then one GEMM with the packed
+    /// effective weights reads the receptive fields straight out of the
+    /// padded sample and writes that sample's `[O, oh·ow]` block of the
+    /// `[N, O, oh, ow]` output in place.
+    fn forward(&mut self, input: &Tensor, mode: Mode, _rng: &mut NnRng) -> Tensor {
+        let (n, g) = self.unfold_for(input);
+        let (oh, ow) = g.out_size();
+        let (weff, _) = self.effective_weight();
+        let lhs = PackedLhs::new(weff.data(), self.out_channels, g.rows());
+        let (fields, positions) = (g.fields(), g.positions());
+        let mut padded = vec![0.0f32; g.padded_len()];
+        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        let outputs = out
+            .data_mut()
+            .chunks_exact_mut(self.out_channels * g.cols());
+        for (sample, out_n) in input.data().chunks_exact(g.sample_len()).zip(outputs) {
+            g.pad(sample, self.pad_value, &mut padded);
+            let rhs = Rhs {
+                data: &padded,
+                rows: &fields,
+                cols: &positions,
+            };
+            gemm(&lhs, &rhs, out_n);
         }
-
         if mode == Mode::Train {
             self.cache = Some(Cache {
-                cols,
-                input_shape: [n, self.in_channels, h, w],
-                alphas,
+                input: input.clone(),
+                weff,
             });
         }
-        Tensor::from_vec(&[n, self.out_channels, oh, ow], out)
+        out
     }
 
+    /// Per sample, reading `grad_out` in place: the weight gradient
+    /// accumulates `g_n · fieldsᵀ` over the batch (the same ascending sum
+    /// over `n·oh·ow + p` as one batch-wide product), and the input
+    /// gradient folds `Weffᵀ · g_n` back into the sample.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.take().expect("Conv2d::backward without forward");
-        let [n, c, h, w] = cache.input_shape;
-        let shape = grad_out.shape();
-        assert_eq!(shape.len(), 4);
-        let (oh, ow) = (shape[2], shape[3]);
-        let hw = oh * ow;
+        let (n, g) = self.unfold_for(&cache.input);
+        let (o, hw) = (self.out_channels, g.cols());
+        assert_eq!(grad_out.shape().len(), 4);
+        assert_eq!(grad_out.numel(), n * o * hw, "grad shape mismatch");
 
-        // [N, O, oh, ow] → [O, N·oh·ow]
-        let mut g2d = vec![0.0f32; self.out_channels * n * hw];
-        for ni in 0..n {
-            for o in 0..self.out_channels {
-                for p in 0..hw {
-                    g2d[o * (n * hw) + ni * hw + p] =
-                        grad_out.data()[(ni * self.out_channels + o) * hw + p];
-                }
-            }
+        // Parameter gradient ∂L/∂Weff, straight-through to the latent
+        // weights (Eq. 9). Input gradient through the *effective* weights:
+        // the hardware multiplies by α·sign(W), so the data path uses it too.
+        let weff_t = PackedLhs::transposed(cache.weff.data(), o, g.rows());
+        let (fields, positions) = (g.fields(), g.positions());
+        let (grad_rows, grad_cols) = (strided(o, hw), strided(hw, 1));
+        let mut padded = vec![0.0f32; g.padded_len()];
+        let mut dweff = vec![0.0f32; o * g.rows()];
+        let mut dcols = vec![0.0f32; g.rows() * hw];
+        let mut din = Tensor::zeros(cache.input.shape());
+        let per_sample = cache
+            .input
+            .data()
+            .chunks_exact(g.sample_len())
+            .zip(grad_out.data().chunks_exact(o * hw))
+            .zip(din.data_mut().chunks_exact_mut(g.sample_len()));
+        for ((sample, g_n), din_n) in per_sample {
+            g.pad(sample, self.pad_value, &mut padded);
+            let fields_t = Rhs {
+                data: &padded,
+                rows: &positions,
+                cols: &fields,
+            };
+            gemm(&PackedLhs::new(g_n, o, hw), &fields_t, &mut dweff);
+            let g_rhs = Rhs {
+                data: g_n,
+                rows: &grad_rows,
+                cols: &grad_cols,
+            };
+            dcols.fill(0.0);
+            gemm(&weff_t, &g_rhs, &mut dcols);
+            g.fold(&dcols, hw, din_n);
         }
-        let g2d = Tensor::from_vec(&[self.out_channels, n * hw], g2d);
-
-        // Parameter gradient: ∂L/∂Weff = g2d · colsᵀ; straight-through to
-        // the latent weights (Eq. 9).
-        let dweff = g2d.matmul(&cache.cols.transpose2());
-        self.weight_grad.axpy(1.0, &dweff);
-
-        // Input gradient through the *effective* weights: the hardware
-        // multiplies by α·sign(W), so the data path uses it too.
-        let (weff, _) = if self.binary_weights {
-            // Rebuild with the α values cached at forward time (the latent
-            // weights have not changed between forward and backward).
-            let fan_in = c * self.kernel * self.kernel;
-            let mut data = Vec::with_capacity(self.weight.numel());
-            for o in 0..self.out_channels {
-                let row = &self.weight.data()[o * fan_in..(o + 1) * fan_in];
-                for &v in row {
-                    let s = if v >= 0.0 { 1.0 } else { -1.0 };
-                    data.push(s * cache.alphas[o]);
-                }
-            }
-            (Tensor::from_vec(&[self.out_channels, fan_in], data), ())
-        } else {
-            (self.weight.clone(), ())
-        };
-        let dcols = weff.transpose2().matmul(&g2d);
-        col2im(&dcols, n, c, h, w, self.kernel, self.stride, self.pad)
+        self.weight_grad
+            .axpy(1.0, &Tensor::from_vec(&[o, g.rows()], dweff));
+        din
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
@@ -455,6 +476,85 @@ mod tests {
                 (fd - an).abs() < 2e-2 * (1.0 + fd.abs()),
                 "idx {idx}: fd {fd} vs analytic {an}"
             );
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward output, input gradient and weight gradient of `conv` on
+    /// `input` with upstream gradient `grad`, as bit patterns.
+    fn run(conv: &mut Conv2d, input: &Tensor, grad: &Tensor) -> [Vec<u32>; 3] {
+        let mut r = rng();
+        let out = conv.forward(input, Mode::Train, &mut r);
+        let din = conv.backward(grad);
+        let dw = std::mem::replace(&mut conv.weight_grad, Tensor::zeros(conv.weight.shape()));
+        [bits(out.data()), bits(din.data()), bits(dw.data())]
+    }
+
+    /// The batch-wide formulation the per-sample kernels replaced: one
+    /// unfolded matrix, `[O, N·hw]` ↔ `[N, O, hw]` copies, materialized
+    /// transposes and i-k-j products.
+    fn reference(conv: &Conv2d, input: &Tensor, grad: &Tensor) -> [Vec<u32>; 3] {
+        use crate::layers::{col2im, im2col_filled};
+        use crate::tensor::oracle::matmul_ikj;
+        let [n, c, h, w] = input.shape().try_into().expect("4-D input");
+        let (_, o, k, stride, pad) = conv.geometry();
+        let [_, _, oh, ow] = grad.shape().try_into().expect("4-D grad");
+        let hw = oh * ow;
+        let cols = im2col_filled(input, k, stride, pad, conv.pad_value());
+        let (weff, _) = conv.effective_weight();
+        let out2d = matmul_ikj(&weff, &cols);
+        let mut out = vec![0.0f32; n * o * hw];
+        let mut g2d = vec![0.0f32; o * n * hw];
+        for ni in 0..n {
+            for oi in 0..o {
+                for p in 0..hw {
+                    out[(ni * o + oi) * hw + p] = out2d.at2(oi, ni * hw + p);
+                    g2d[oi * n * hw + ni * hw + p] = grad.data()[(ni * o + oi) * hw + p];
+                }
+            }
+        }
+        let g2d = Tensor::from_vec(&[o, n * hw], g2d);
+        let mut dw = Tensor::zeros(weff.shape());
+        dw.axpy(1.0, &matmul_ikj(&g2d, &cols.transpose2()));
+        let dcols = matmul_ikj(&weff.transpose2(), &g2d);
+        let din = col2im(&dcols, n, c, h, w, k, stride, pad);
+        [bits(&out), bits(din.data()), bits(dw.data())]
+    }
+
+    #[test]
+    fn per_sample_kernels_match_the_batch_wide_formulation() {
+        use crate::tensor::oracle::values;
+        // (in, out, k, stride, pad, fill, h, w, binary): the VGG's 3×3 / −1
+        // fill cells, strided and unpadded cases, a 1×1 shortcut, and
+        // output rows that are narrower and wider than a register block.
+        let cases = [
+            (3, 8, 3, 1, 1, -1.0, 16, 16, true),
+            (8, 16, 3, 1, 1, -1.0, 8, 8, true),
+            (4, 6, 3, 2, 1, -1.0, 9, 7, true),
+            (2, 5, 3, 1, 0, 0.0, 6, 20, false),
+            (5, 3, 1, 2, 0, 0.0, 7, 7, true),
+            (3, 4, 5, 3, 2, 0.5, 11, 13, false),
+        ];
+        for (seed, &(ci, co, k, stride, pad, fill, h, w, binary)) in cases.iter().enumerate() {
+            let seed = seed as u64;
+            let mut r = NnRng::seed_from_u64(seed);
+            let mut conv = Conv2d::new(ci, co, k, stride, pad, binary, &mut r).with_pad_value(fill);
+            let n = 3;
+            let input = Tensor::from_vec(&[n, ci, h, w], values(n * ci * h * w, seed, 6));
+            let oh = conv_out(h, k, stride, pad);
+            let ow = conv_out(w, k, stride, pad);
+            let grad = Tensor::from_vec(&[n, co, oh, ow], values(n * co * oh * ow, seed + 99, 4));
+            let want = reference(&conv, &input, &grad);
+            let got = run(&mut conv, &input, &grad);
+            for (what, (g, w)) in ["output", "input grad", "weight grad"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                assert_eq!(g, w, "{what} of case {seed}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! im2col / col2im: convolution as matrix multiplication.
 
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Output spatial size of a convolution dimension.
 pub(crate) fn conv_out(size: usize, k: usize, stride: usize, pad: usize) -> usize {
@@ -120,9 +121,214 @@ pub fn col2im(
     Tensor::from_vec(&[n, c, h, w], out)
 }
 
+/// The unfold geometry of one `[C, H, W]` sample under a `k×k` kernel:
+/// its receptive-field matrix is `[C·k·k, Hout·Wout]`, row `(c·k + ky)·k +
+/// kx`, column `oy·Wout + ox`. `Conv2d` trains through it one padded
+/// sample at a time; [`im2col_filled`] and [`col2im`] are the same unfold
+/// and fold over a whole batch, written as per-element loops, and the unit
+/// tests hold the two to the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Unfold {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Unfold {
+    /// # Panics
+    /// Panics unless the kernel and stride are positive and the kernel
+    /// fits the padded input.
+    pub(crate) fn new(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Self {
+        assert!(k > 0 && stride > 0, "kernel and stride must be positive");
+        assert!(
+            h + 2 * pad >= k && w + 2 * pad >= k,
+            "kernel exceeds padded input"
+        );
+        Self {
+            c,
+            h,
+            w,
+            k,
+            stride,
+            pad,
+            oh: conv_out(h, k, stride, pad),
+            ow: conv_out(w, k, stride, pad),
+        }
+    }
+
+    /// Rows of the receptive-field matrix, `C·k·k`.
+    pub(crate) fn rows(&self) -> usize {
+        self.c * self.k * self.k
+    }
+
+    /// Columns of the receptive-field matrix, `Hout·Wout`.
+    pub(crate) fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The output size `(Hout, Wout)`.
+    pub(crate) fn out_size(&self) -> (usize, usize) {
+        (self.oh, self.ow)
+    }
+
+    /// Elements of one input sample, `C·H·W`.
+    pub(crate) fn sample_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// The output positions `o < out` whose input coordinate
+    /// `o·stride + kpos − pad` lies in `0..len`.
+    fn span(&self, out: usize, kpos: usize, len: usize) -> Range<usize> {
+        let lo = self.pad.saturating_sub(kpos).div_ceil(self.stride);
+        let hi = (len + self.pad)
+            .saturating_sub(kpos)
+            .div_ceil(self.stride)
+            .min(out);
+        lo.min(hi)..hi
+    }
+
+    /// Elements of one sample padded by `pad` on every side,
+    /// `C·(H + 2·pad)·(W + 2·pad)`.
+    pub(crate) fn padded_len(&self) -> usize {
+        self.c * (self.h + 2 * self.pad) * (self.w + 2 * self.pad)
+    }
+
+    /// Copies `sample` into the interior of `dst` (`[C, H + 2·pad, W +
+    /// 2·pad]`) and sets the border to `fill`.
+    pub(crate) fn pad(&self, sample: &[f32], fill: f32, dst: &mut [f32]) {
+        let (h, w, pad) = (self.h, self.w, self.pad);
+        let pw = w + 2 * pad;
+        dst.fill(fill);
+        for (plane, padded) in sample
+            .chunks_exact(h * w)
+            .zip(dst.chunks_exact_mut((h + 2 * pad) * pw))
+        {
+            for (row, padded_row) in plane
+                .chunks_exact(w)
+                .zip(padded.chunks_exact_mut(pw).skip(pad))
+            {
+                padded_row[pad..pad + w].copy_from_slice(row);
+            }
+        }
+    }
+
+    /// Offset in the padded sample of each receptive-field row `(c, ky,
+    /// kx)`, relative to an output position's offset.
+    pub(crate) fn fields(&self) -> Vec<usize> {
+        let (ph, pw) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
+        let (c, k) = (self.c, self.k);
+        (0..c * k * k)
+            .map(|r| ((r / (k * k)) * ph + (r / k) % k) * pw + r % k)
+            .collect()
+    }
+
+    /// Offset in the padded sample of each output position `(oy, ox)`'s
+    /// receptive-field origin.
+    pub(crate) fn positions(&self) -> Vec<usize> {
+        let (pw, s) = (self.w + 2 * self.pad, self.stride);
+        (0..self.oh * self.ow)
+            .map(|q| (q / self.ow) * s * pw + (q % self.ow) * s)
+            .collect()
+    }
+
+    /// Accumulates the receptive-field matrix `src` (row `r` at
+    /// `src[r·ld..][..cols]`) into the sample gradient `dst`. Each input
+    /// pixel receives its contributions in kernel-tap `(ky, kx)` order;
+    /// taps that fall on the padding are dropped.
+    pub(crate) fn fold(&self, src: &[f32], ld: usize, dst: &mut [f32]) {
+        let (h, w, k, s, pad) = (self.h, self.w, self.k, self.stride, self.pad);
+        for (ci, plane) in dst.chunks_exact_mut(h * w).enumerate() {
+            for ky in 0..k {
+                let ys = self.span(self.oh, ky, h);
+                for kx in 0..k {
+                    let xs = self.span(self.ow, kx, w);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let row = (ci * k + ky) * k + kx;
+                    let first = xs.start * s + kx - pad;
+                    for oy in ys.clone() {
+                        let line = &src[row * ld + oy * self.ow..][..self.ow];
+                        let drow = &mut plane[(oy * s + ky - pad) * w..][..w];
+                        if s == 1 {
+                            let drow = &mut drow[first..first + xs.len()];
+                            for (d, &v) in drow.iter_mut().zip(&line[xs.clone()]) {
+                                *d += v;
+                            }
+                        } else {
+                            let drow = drow[first..].iter_mut().step_by(s);
+                            for (d, &v) in drow.zip(&line[xs.clone()]) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::oracle::values;
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn unfold_matches_the_per_element_loops() {
+        // The padded-sample gather and the span fold that `Conv2d` runs,
+        // against `im2col_filled` and `col2im` bit for bit.
+        let mut seed = 0;
+        for k in [1, 2, 3, 5] {
+            for stride in [1, 2, 3] {
+                for pad in [0, 1, 2] {
+                    for (h, w) in [(5, 4), (6, 7), (9, 9)] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        for fill in [0.0, -1.0] {
+                            seed += 1;
+                            let n = 2;
+                            let x = Tensor::from_vec(&[n, 3, h, w], values(n * 3 * h * w, seed, 0));
+                            let g = Unfold::new(3, h, w, k, stride, pad);
+                            let (fields, positions) = (g.fields(), g.positions());
+                            let ld = n * g.cols();
+                            let mut gathered = vec![0.0f32; g.rows() * ld];
+                            let mut padded = vec![0.0f32; g.padded_len()];
+                            for (ni, sample) in x.data().chunks_exact(g.sample_len()).enumerate() {
+                                g.pad(sample, fill, &mut padded);
+                                for (r, &field) in fields.iter().enumerate() {
+                                    for (q, &pos) in positions.iter().enumerate() {
+                                        gathered[r * ld + ni * g.cols() + q] = padded[field + pos];
+                                    }
+                                }
+                            }
+                            let want = im2col_filled(&x, k, stride, pad, fill);
+                            let case = format!("k{k} s{stride} p{pad} {h}×{w} fill {fill}");
+                            assert_eq!(bits(&gathered), bits(want.data()), "gather {case}");
+
+                            let y = values(g.rows() * ld, seed, 0);
+                            let mut folded = vec![0.0f32; n * g.sample_len()];
+                            for (ni, dst) in folded.chunks_exact_mut(g.sample_len()).enumerate() {
+                                g.fold(&y[ni * g.cols()..], ld, dst);
+                            }
+                            let y = Tensor::from_vec(&[g.rows(), ld], y);
+                            let want = col2im(&y, n, 3, h, w, k, stride, pad);
+                            assert_eq!(bits(&folded), bits(want.data()), "fold {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn identity_kernel_no_pad() {

@@ -24,7 +24,8 @@ pub struct Linear {
 
 struct Cache {
     input: Tensor,
-    alphas: Vec<f32>,
+    /// The effective weights the forward multiplied by.
+    weff: Tensor,
 }
 
 impl Linear {
@@ -143,8 +144,8 @@ impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode, _rng: &mut NnRng) -> Tensor {
         assert_eq!(input.shape().len(), 2, "Linear expects [N, features]");
         assert_eq!(input.shape()[1], self.in_features, "feature mismatch");
-        let (weff, alphas) = self.effective_weight();
-        let mut out = input.matmul(&weff.transpose2());
+        let (weff, _) = self.effective_weight();
+        let mut out = input.matmul_nt(&weff);
         let n = input.shape()[0];
         for i in 0..n {
             for o in 0..self.out_features {
@@ -154,7 +155,7 @@ impl Layer for Linear {
         if mode == Mode::Train {
             self.cache = Some(Cache {
                 input: input.clone(),
-                alphas,
+                weff,
             });
         }
         out
@@ -163,7 +164,7 @@ impl Layer for Linear {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.take().expect("Linear::backward without forward");
         // dW_eff = grad_outᵀ · input; STE passes it to the latent weights.
-        let dweff = grad_out.transpose2().matmul(&cache.input);
+        let dweff = grad_out.matmul_tn(&cache.input);
         self.weight_grad.axpy(1.0, &dweff);
         // Bias gradient: column sums.
         let n = grad_out.shape()[0];
@@ -173,20 +174,7 @@ impl Layer for Linear {
             }
         }
         // Input gradient through the effective weights.
-        let weff = if self.binary_weights {
-            let mut data = Vec::with_capacity(self.weight.numel());
-            for o in 0..self.out_features {
-                let row = &self.weight.data()[o * self.in_features..(o + 1) * self.in_features];
-                for &v in row {
-                    let s = if v >= 0.0 { 1.0 } else { -1.0 };
-                    data.push(s * cache.alphas[o]);
-                }
-            }
-            Tensor::from_vec(&[self.out_features, self.in_features], data)
-        } else {
-            self.weight.clone()
-        };
-        grad_out.matmul(&weff)
+        grad_out.matmul(&cache.weff)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {

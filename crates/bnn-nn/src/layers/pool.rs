@@ -46,18 +46,32 @@ impl Layer for MaxPool2d {
             for ci in 0..c {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // Seeded with the window's first element, so an
+                        // all −∞ window routes its gradient to itself. The
+                        // first maximum wins; a window holding a NaN takes
+                        // its first NaN instead, wherever it sits (a rare
+                        // second pass keeps the common path a plain `>`).
+                        let first = ((ni * c + ci) * h + oy * self.k) * w + ox * self.k;
+                        let mut best = data[first];
+                        let mut best_idx = first;
+                        let mut has_nan = false;
                         for ky in 0..self.k {
                             for kx in 0..self.k {
-                                let iy = oy * self.k + ky;
-                                let ix = ox * self.k + kx;
-                                let idx = ((ni * c + ci) * h + iy) * w + ix;
-                                if data[idx] > best {
-                                    best = data[idx];
+                                let idx = first + ky * w + kx;
+                                let v = data[idx];
+                                if v > best {
+                                    best = v;
                                     best_idx = idx;
                                 }
+                                has_nan |= v.is_nan();
                             }
+                        }
+                        if has_nan {
+                            best_idx = (0..self.k)
+                                .flat_map(|ky| (0..self.k).map(move |kx| first + ky * w + kx))
+                                .find(|&idx| data[idx].is_nan())
+                                .expect("the window holds a NaN");
+                            best = data[best_idx];
                         }
                         let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
                         out[oidx] = best;
@@ -148,6 +162,40 @@ mod tests {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![-5., -1., -3., -4.]);
         let y = pool.forward(&x, Mode::Eval, &mut r);
         assert_eq!(y.data(), &[-1.0]);
+    }
+
+    #[test]
+    fn all_infinite_or_nan_windows_stay_in_their_sample() {
+        // The second sample is all −∞: its gradient of 20 must land on its
+        // own first pixel, not on sample 0's.
+        let mut pool = MaxPool2d::new(2);
+        let mut r = rng();
+        let mut data = vec![1., 4., 2., 3.];
+        data.extend([f32::NEG_INFINITY; 4]);
+        let x = Tensor::from_vec(&[2, 1, 2, 2], data);
+        let y = pool.forward(&x, Mode::Train, &mut r);
+        assert_eq!(y.data(), &[4.0, f32::NEG_INFINITY]);
+        let din = pool.backward(&Tensor::from_vec(&[2, 1, 1, 1], vec![10.0, 20.0]));
+        assert_eq!(din.data(), &[0., 10., 0., 0., 20., 0., 0., 0.]);
+
+        // A NaN wins its window wherever it sits, and the first NaN takes
+        // the gradient: all NaN, NaN first, NaN after a larger number.
+        let nan = f32::NAN;
+        for (window, at) in [
+            ([nan; 4], 0),
+            ([nan, 5., 3., 1.], 0),
+            ([5., nan, 3., 1.], 1),
+            ([5., 3., 1., nan], 3),
+            ([5., nan, 3., nan], 1),
+        ] {
+            let x = Tensor::from_vec(&[1, 1, 2, 2], window.to_vec());
+            let y = pool.forward(&x, Mode::Train, &mut r);
+            assert!(y.data()[0].is_nan(), "{window:?}");
+            let din = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![3.0]));
+            let mut want = [0.0; 4];
+            want[at] = 3.0;
+            assert_eq!(din.data(), &want, "{window:?}");
+        }
     }
 
     #[test]

@@ -45,10 +45,21 @@ impl TauSchedule {
 /// # Panics
 /// Panics if `values` is empty or `q ∉ [0, 1]`.
 pub fn quantile(values: &[f32], q: f64) -> f32 {
+    quantile_of_sorted(&sorted(values), q)
+}
+
+/// A sorted copy. Values equal under `total_cmp` have identical bits, so
+/// an unstable sort yields the same sequence as a stable one.
+fn sorted(values: &[f32]) -> Vec<f32> {
     assert!(!values.is_empty(), "quantile of empty slice");
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(|a, b| a.total_cmp(b));
+    sorted
+}
+
+/// [`quantile`] over values already in ascending `total_cmp` order.
+fn quantile_of_sorted(sorted: &[f32], q: f64) -> f32 {
     assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-    let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -73,8 +84,9 @@ pub fn rectified_clamp(weights: &mut [f32], tau: f64) -> (f32, f32) {
         (0.5..=1.0).contains(&tau),
         "τ must be in [0.5, 1], got {tau}"
     );
-    let upper = quantile(weights, tau);
-    let lower = quantile(weights, 1.0 - tau);
+    let sorted = sorted(weights);
+    let upper = quantile_of_sorted(&sorted, tau);
+    let lower = quantile_of_sorted(&sorted, 1.0 - tau);
     for w in weights.iter_mut() {
         *w = w.clamp(lower, upper);
     }
