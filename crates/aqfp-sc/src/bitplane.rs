@@ -19,7 +19,7 @@
 //! # Word layout invariant
 //!
 //! Every kernel in this module — and every consumer in the workspace, from
-//! the training-side packed GEMM to the batched deploy engine — assumes
+//! the software BNN baseline to the batched deploy engine — assumes
 //! **little-endian-in-index** packing: element `i` lives in word `i / 64`
 //! at bit position `i % 64`, logic '1' encodes the value `+1`, and bits
 //! past the declared length (the *tail* of the last word, and row bits
@@ -29,14 +29,14 @@
 //! [`PackedMatrix::apply_row_mask`]) document it as a caller obligation.
 //! Breaking it silently corrupts whole-plane popcounts.
 //!
-//! # Worked example: pack → `packed_im2col` → sign-GEMM
+//! # Worked example: pack → `packed_im2col` → XNOR dot
 //!
 //! The three steps every packed convolution takes — binarize and pack a
-//! feature map, unfold its receptive fields by whole-word shifts, and hit
-//! the fields with an XNOR–popcount GEMM:
+//! feature map, unfold its receptive fields by whole-word shifts, and
+//! take the XNOR–popcount dot of each field with a filter:
 //!
 //! ```
-//! use aqfp_sc::bitplane::{packed_im2col, BitPlane, PackedMatrix};
+//! use aqfp_sc::bitplane::{packed_im2col, BitPlane};
 //!
 //! // 1. Pack a 1-channel 4×4 feature map by sign (v ≥ 0 packs as +1).
 //! let values: Vec<f32> = (0..16).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();
@@ -48,14 +48,14 @@
 //! let fields = packed_im2col(&plane, 1, 4, 4, 3, 1, 1, false);
 //! assert_eq!((fields.rows(), fields.width()), (16, 9));
 //!
-//! // 3. Two ±1 filters as packed rows; the GEMM returns every signed dot
-//! //    `2·popcount(XNOR) − 9` in `[filters × pixels]` row-major order.
-//! let filters = PackedMatrix::from_signs(&[1.0; 18], 2, 9);
-//! let dots = filters.xnor_gemm(&fields);
-//! assert_eq!(dots.len(), 2 * 16);
-//! // An all-(+1) filter's dot is the field's popcount scaled to ±1.
-//! let field0 = fields.row_plane(0);
-//! assert_eq!(dots[0], 2 * field0.count_ones() as i64 - 9);
+//! // 3. A ±1 filter as a packed plane; each pixel's signed dot is
+//! //    `2·popcount(XNOR) − 9`. An all-(+1) filter's dot is the field's
+//! //    popcount scaled to ±1.
+//! let filter = BitPlane::ones(9);
+//! for pixel in 0..fields.rows() {
+//!     let field = fields.row_plane(pixel);
+//!     assert_eq!(filter.xnor_dot(&field), 2 * field.count_ones() as i64 - 9);
+//! }
 //! ```
 
 use aqfp_device::Bit;
@@ -465,9 +465,6 @@ pub trait Word: Copy + core::fmt::Debug + PartialEq + Eq + Send + Sync + 'static
     /// Lane-wise AND.
     fn and(self, other: Self) -> Self;
 
-    /// Lane-wise OR.
-    fn or(self, other: Self) -> Self;
-
     /// Lane-wise wrapping add. SWAR counter fields live *inside* lanes,
     /// so a 64-bit add per lane is exactly the field-parallel add of the
     /// scalar reduction, `LANES` streams at once.
@@ -517,11 +514,6 @@ impl Word for u64 {
     #[inline(always)]
     fn and(self, other: Self) -> Self {
         self & other
-    }
-
-    #[inline(always)]
-    fn or(self, other: Self) -> Self {
-        self | other
     }
 
     #[inline(always)]
@@ -589,11 +581,6 @@ impl Word for V256 {
     }
 
     #[inline(always)]
-    fn or(self, other: Self) -> Self {
-        V256(core::array::from_fn(|l| self.0[l] | other.0[l]))
-    }
-
-    #[inline(always)]
     fn add64(self, other: Self) -> Self {
         V256(core::array::from_fn(|l| self.0[l].wrapping_add(other.0[l])))
     }
@@ -655,7 +642,7 @@ pub fn lane_counts_w<W: Word>(x: W, lane: u32) -> W {
 ///
 /// Padding fills with `pad_one`: `false` packs out-of-bounds positions as
 /// '0' (value −1, the BNN deployment convention), `true` as '1' (+1, for
-/// training-side layers padded with +1).
+/// layers padded with +1).
 ///
 /// # Panics
 /// Panics unless `plane.len() == c·h·w`, `k, stride > 0` and the kernel
@@ -1185,47 +1172,6 @@ impl PackedMatrix {
         let words = self.width.div_ceil(64);
         BitPlane::from_words(self.row_words(r)[..words].to_vec(), self.width)
     }
-
-    /// Signed ±1 dot product of row `r` with `plane`.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn xnor_dot(&self, r: usize, plane: &BitPlane) -> i64 {
-        assert_eq!(plane.len(), self.width, "plane width mismatch");
-        2 * xnor_ones_range(self.row_words(r), plane.words(), 0, self.width) as i64
-            - self.width as i64
-    }
-
-    /// XNOR match count of row `r` against `plane` over the bit range
-    /// `[start, start + len)` — the crossbar-tile partial kernel.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the width.
-    pub fn xnor_ones_range(&self, r: usize, plane: &BitPlane, start: usize, len: usize) -> usize {
-        assert!(start + len <= self.width, "tile range exceeds width");
-        assert_eq!(plane.len(), self.width, "plane width mismatch");
-        xnor_ones_range(self.row_words(r), plane.words(), start, len)
-    }
-
-    /// Full packed GEMM: the signed dot of every matrix row with every row
-    /// of `acts` (activations packed row-major, same width). Returns the
-    /// dots in `[self.rows × acts.rows]` row-major order.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn xnor_gemm(&self, acts: &PackedMatrix) -> Vec<i64> {
-        assert_eq!(acts.width, self.width, "GEMM width mismatch");
-        let mut out = Vec::with_capacity(self.rows * acts.rows);
-        for r in 0..self.rows {
-            let rw = self.row_words(r);
-            for a in 0..acts.rows {
-                let dot = 2 * xnor_ones_range(rw, acts.row_words(a), 0, self.width) as i64
-                    - self.width as i64;
-                out.push(dot);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1368,40 +1314,9 @@ mod tests {
         let m = PackedMatrix::from_signs(&values, rows, width);
         assert_eq!(m.rows(), rows);
         assert_eq!(m.width(), width);
-        let act = BitPlane::from_signs(&values[..width]);
         for r in 0..rows {
             let row = BitPlane::from_signs(&values[r * width..(r + 1) * width]);
             assert_eq!(m.row_plane(r), row);
-            assert_eq!(m.xnor_dot(r, &act), row.xnor_dot(&act), "row {r}");
-            assert_eq!(
-                m.xnor_ones_range(r, &act, 30, 50),
-                xnor_ones_range(row.words(), act.words(), 30, 50)
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_matches_per_row_dots() {
-        let w = PackedMatrix::from_signs(
-            &(0..3 * 70)
-                .map(|i| if (i * 5) % 4 < 2 { 1.0 } else { -1.0 })
-                .collect::<Vec<f32>>(),
-            3,
-            70,
-        );
-        let acts = PackedMatrix::from_signs(
-            &(0..2 * 70)
-                .map(|i| if (i * 3) % 5 < 3 { 1.0 } else { -1.0 })
-                .collect::<Vec<f32>>(),
-            2,
-            70,
-        );
-        let dots = w.xnor_gemm(&acts);
-        assert_eq!(dots.len(), 6);
-        for r in 0..3 {
-            for a in 0..2 {
-                assert_eq!(dots[r * 2 + a], w.xnor_dot(r, &acts.row_plane(a)));
-            }
         }
     }
 
@@ -1659,7 +1574,6 @@ mod tests {
             assert_eq!(va.lane(l), a[l]);
             assert_eq!(va.xnor(vb).lane(l), !(a[l] ^ b[l]));
             assert_eq!(va.and(vb).lane(l), a[l] & b[l]);
-            assert_eq!(va.or(vb).lane(l), a[l] | b[l]);
             assert_eq!(va.add64(vb).lane(l), a[l].wrapping_add(b[l]));
             assert_eq!(va.sub64(vb).lane(l), a[l].wrapping_sub(b[l]));
             assert_eq!(va.shr(13).lane(l), a[l] >> 13);

@@ -23,9 +23,9 @@
 //!   stream-correlation metric quantifying the paper's "true randomness"
 //!   advantage of AQFP thermal switching;
 //! * [`bitplane`] — the shared bit-packing substrate: ±1 planes and
-//!   matrices in `u64` words with XNOR–popcount dot/GEMM kernels, used by
-//!   the packed streams here, the software BNN baseline, and the batched
-//!   deploy engine;
+//!   matrices in `u64` words with XNOR–popcount dot and tile-range kernels,
+//!   used by the packed streams here, the software BNN classifier head,
+//!   and the batched deploy engine;
 //! * [`counter`] — the keyed counter-mode RNG ([`CounterStream`]): every
 //!   Bernoulli draw a pure function of (key, counter) coordinates, so
 //!   observation windows generate independently, in any order, on any

@@ -2,64 +2,17 @@
 //!
 //! Conventional BNN inference replaces the signed dot product of ±1 vectors
 //! with XNOR + popcount: for `n`-long vectors,
-//! `dot(a, w) = 2·popcount(XNOR(a, w)) − n`. This module implements that
-//! datapath exactly (bit-packed in `u64` words) and is the noiseless
-//! accuracy reference against which hardware-faithful AQFP inference is
-//! compared — and a baseline for throughput benchmarks.
+//! `dot(a, w) = 2·popcount(XNOR(a, w)) − n`. [`PopcountLinear`] evaluates
+//! a binary linear layer with that datapath exactly, one [`BitPlane`] per
+//! weight row. The deployed models use it as their noiseless digital
+//! classifier head, and the figure benches time it as Table 3's head.
 
 use aqfp_sc::BitPlane;
-
-/// A ±1 vector packed into `u64` words (`1` bit = +1), backed by the
-/// workspace-wide [`BitPlane`] packing (same bit order and tail-masking
-/// invariant as the deploy engine's activation planes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedVec {
-    plane: BitPlane,
-}
-
-impl PackedVec {
-    /// Packs a slice of ±1 values (`>= 0` packs as +1, matching the
-    /// paper's sign convention).
-    pub fn from_signs(values: &[f32]) -> Self {
-        Self {
-            plane: BitPlane::from_signs(values),
-        }
-    }
-
-    /// Wraps an already packed plane.
-    pub fn from_plane(plane: BitPlane) -> Self {
-        Self { plane }
-    }
-
-    /// The backing plane.
-    pub fn plane(&self) -> &BitPlane {
-        &self.plane
-    }
-
-    /// Vector length.
-    pub fn len(&self) -> usize {
-        self.plane.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.plane.is_empty()
-    }
-
-    /// Signed dot product with `other` via XNOR + popcount.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn dot(&self, other: &PackedVec) -> i32 {
-        assert_eq!(self.len(), other.len(), "length mismatch in packed dot");
-        self.plane.xnor_dot(&other.plane) as i32
-    }
-}
 
 /// A binary linear layer computed entirely with XNOR/popcount.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PopcountLinear {
-    rows: Vec<PackedVec>,
+    rows: Vec<BitPlane>,
     fan_in: usize,
 }
 
@@ -72,7 +25,7 @@ impl PopcountLinear {
     pub fn new(weights: &[f32], fan_in: usize) -> Self {
         assert!(fan_in > 0, "fan-in must be positive");
         assert_eq!(weights.len() % fan_in, 0, "weights not a whole matrix");
-        let rows = weights.chunks(fan_in).map(PackedVec::from_signs).collect();
+        let rows = weights.chunks(fan_in).map(BitPlane::from_signs).collect();
         Self { rows, fan_in }
     }
 
@@ -82,7 +35,7 @@ impl PopcountLinear {
     ///
     /// # Panics
     /// Panics if `fan_in` is zero or any row's length differs from it.
-    pub fn from_rows(rows: Vec<PackedVec>, fan_in: usize) -> Self {
+    pub fn from_rows(rows: Vec<BitPlane>, fan_in: usize) -> Self {
         assert!(fan_in > 0, "fan-in must be positive");
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), fan_in, "row {i} length mismatch");
@@ -102,7 +55,7 @@ impl PopcountLinear {
 
     /// The packed weight rows (used by the packed deploy engine to score
     /// classifier logits straight from an activation plane).
-    pub fn rows(&self) -> &[PackedVec] {
+    pub fn rows(&self) -> &[BitPlane] {
         &self.rows
     }
 
@@ -112,10 +65,7 @@ impl PopcountLinear {
     /// Panics on input length mismatch.
     pub fn forward_plane(&self, input: &BitPlane) -> Vec<i32> {
         assert_eq!(input.len(), self.fan_in, "input length mismatch");
-        self.rows
-            .iter()
-            .map(|r| r.plane().xnor_dot(input) as i32)
-            .collect()
+        self.rows.iter().map(|r| r.xnor_dot(input) as i32).collect()
     }
 
     /// Computes all outputs for one ±1 input vector.
@@ -123,9 +73,7 @@ impl PopcountLinear {
     /// # Panics
     /// Panics on input length mismatch.
     pub fn forward(&self, input: &[f32]) -> Vec<i32> {
-        assert_eq!(input.len(), self.fan_in, "input length mismatch");
-        let packed = PackedVec::from_signs(input);
-        self.rows.iter().map(|r| r.dot(&packed)).collect()
+        self.forward_plane(&BitPlane::from_signs(input))
     }
 }
 
@@ -146,7 +94,8 @@ mod tests {
 
     #[test]
     fn packed_dot_matches_float_dot() {
-        // Deterministic pseudo-random ±1 vectors of awkward lengths.
+        // One-row layers over deterministic pseudo-random ±1 vectors of
+        // awkward lengths.
         for len in [1usize, 7, 63, 64, 65, 130, 200] {
             let a: Vec<f32> = (0..len)
                 .map(|i| if (i * 7 + 3) % 5 < 2 { 1.0 } else { -1.0 })
@@ -154,9 +103,8 @@ mod tests {
             let b: Vec<f32> = (0..len)
                 .map(|i| if (i * 11 + 1) % 3 == 0 { 1.0 } else { -1.0 })
                 .collect();
-            let pa = PackedVec::from_signs(&a);
-            let pb = PackedVec::from_signs(&b);
-            assert_eq!(pa.dot(&pb), float_dot(&a, &b), "len {len}");
+            let layer = PopcountLinear::new(&a, len);
+            assert_eq!(layer.forward(&b), vec![float_dot(&a, &b)], "len {len}");
         }
     }
 
@@ -165,18 +113,19 @@ mod tests {
         let v: Vec<f32> = (0..100)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let p = PackedVec::from_signs(&v);
-        assert_eq!(p.dot(&p), 100);
+        assert_eq!(PopcountLinear::new(&v, 100).forward(&v), vec![100]);
     }
 
     #[test]
     fn opposite_dot_is_negative_length() {
-        let a: Vec<f32> = vec![1.0; 70];
-        let b: Vec<f32> = vec![-1.0; 70];
-        assert_eq!(
-            PackedVec::from_signs(&a).dot(&PackedVec::from_signs(&b)),
-            -70
-        );
+        let layer = PopcountLinear::new(&[1.0; 70], 70);
+        assert_eq!(layer.forward(&[-1.0; 70]), vec![-70]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn dot_length_mismatch_panics() {
+        PopcountLinear::new(&[1.0; 8], 8).forward(&[1.0; 9]);
     }
 
     #[test]
@@ -187,13 +136,5 @@ mod tests {
         assert_eq!(layer.out_features(), 2);
         let out = layer.forward(&[1.0, 1.0, 1.0]);
         assert_eq!(out, vec![1, -3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_length_mismatch_panics() {
-        let a = PackedVec::from_signs(&[1.0; 8]);
-        let b = PackedVec::from_signs(&[1.0; 9]);
-        a.dot(&b);
     }
 }

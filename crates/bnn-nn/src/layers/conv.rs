@@ -1,6 +1,6 @@
 //! 2-D convolution, optionally with XNOR-Net binarized weights.
 
-use super::im2col::{conv_out, Unfold};
+use super::im2col::Unfold;
 use super::{Layer, Mode, ParamRef};
 use crate::binarize::binarize_weights;
 use crate::tensor::{gemm, strided, PackedLhs, Rhs, Tensor};
@@ -111,71 +111,6 @@ impl Conv2d {
             self.stride,
             self.pad,
         )
-    }
-
-    /// Eval-time fast path for binarized weights on ±1 inputs: bitplane
-    /// im2col → packed XNOR + popcount GEMM, producing
-    /// `α_o · dot(sign(W_o), field)` per output pixel. Receptive fields
-    /// are gathered by [`aqfp_sc::bitplane::packed_im2col`] — whole `u64`
-    /// words per kernel row — which is the *same* gather kernel the
-    /// crossbar deploy engine's packed conv stage runs, so training-side
-    /// eval and deploy-side inference cannot drift apart. The integer
-    /// dots are exact; outputs can differ from
-    /// [`Layer::forward`](super::Layer::forward) only in the last ulp
-    /// because α scales the whole dot instead of each term. Inputs (and
-    /// the padding fill) are read by sign, so callers must feed ±1
-    /// activations, and a padded layer must use a ±1 pad value (BNN
-    /// deployments use −1 via [`Conv2d::with_pad_value`]) — the
-    /// constructor's 0.0 fill would contribute nothing to the float path
-    /// but pack as +1 here.
-    ///
-    /// # Panics
-    /// Panics unless the layer has binary weights, `input` is
-    /// `[N, C, H, W]`, and any active padding fills with ±1.
-    pub fn forward_binary_packed(&self, input: &Tensor) -> Tensor {
-        assert!(self.binary_weights, "packed path needs binary weights");
-        assert!(
-            self.pad == 0 || self.pad_value.abs() == 1.0,
-            "packed path needs a ±1 padding fill, got {}",
-            self.pad_value
-        );
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
-        assert_eq!(shape[1], self.in_channels, "channel mismatch");
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let oh = conv_out(h, self.kernel, self.stride, self.pad);
-        let ow = conv_out(w, self.kernel, self.stride, self.pad);
-        let hw = oh * ow;
-        let pad_one = self.pad > 0 && self.pad_value >= 0.0;
-
-        let wp = crate::packed::pack_sign_rows(&self.weight);
-        let fan_in = self.in_channels * self.kernel * self.kernel;
-        let alphas: Vec<f32> = (0..self.out_channels)
-            .map(|o| binarize_weights(&self.weight.data()[o * fan_in..(o + 1) * fan_in]).1)
-            .collect();
-        let per = self.in_channels * h * w;
-        let mut out = vec![0.0f32; n * self.out_channels * hw];
-        for ni in 0..n {
-            let plane = aqfp_sc::BitPlane::from_signs(&input.data()[ni * per..(ni + 1) * per]);
-            let fields = aqfp_sc::bitplane::packed_im2col(
-                &plane,
-                self.in_channels,
-                h,
-                w,
-                self.kernel,
-                self.stride,
-                self.pad,
-                pad_one,
-            );
-            let dots = crate::packed::sign_gemm(&wp, &fields); // [O × oh·ow]
-            for o in 0..self.out_channels {
-                let dst = &mut out[(ni * self.out_channels + o) * hw..][..hw];
-                for (d, &dot) in dst.iter_mut().zip(&dots[o * hw..(o + 1) * hw]) {
-                    *d = alphas[o] * dot as f32;
-                }
-            }
-        }
-        Tensor::from_vec(&[n, self.out_channels, oh, ow], out)
     }
 
     /// The effective forward weights (`α·sign(W)` if binary, `W` otherwise)
@@ -326,43 +261,12 @@ impl Layer for Conv2d {
 
 #[cfg(test)]
 mod tests {
+    use super::super::im2col::conv_out;
     use super::*;
     use crate::SeedableRng;
 
     fn rng() -> NnRng {
         NnRng::seed_from_u64(42)
-    }
-
-    #[test]
-    #[should_panic(expected = "±1 padding fill")]
-    fn packed_binary_forward_rejects_zero_pad_fill() {
-        // The constructor's default 0.0 fill contributes nothing to the
-        // float path but would pack as +1; the packed path must refuse.
-        let mut r = rng();
-        let conv = Conv2d::new(1, 1, 3, 1, 1, true, &mut r);
-        conv.forward_binary_packed(&Tensor::from_vec(&[1, 1, 2, 2], vec![1.0; 4]));
-    }
-
-    #[test]
-    fn packed_binary_forward_matches_float_forward() {
-        // 3×3 binary conv with −1 padding on a ±1 input: the packed
-        // im2col → XNOR-GEMM path must agree with the float path to
-        // rounding error, and its sign pattern must match exactly.
-        let mut r = rng();
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut r).with_pad_value(-1.0);
-        let input = Tensor::from_vec(
-            &[2, 2, 4, 4],
-            (0..2 * 2 * 16)
-                .map(|i| if (i * 11) % 4 < 2 { 1.0 } else { -1.0 })
-                .collect(),
-        );
-        let reference = conv.forward(&input, Mode::Eval, &mut r);
-        let packed = conv.forward_binary_packed(&input);
-        assert_eq!(packed.shape(), reference.shape());
-        for (a, b) in packed.data().iter().zip(reference.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-            assert_eq!(*a >= 0.0, *b >= 0.0, "sign mismatch: {a} vs {b}");
-        }
     }
 
     #[test]

@@ -84,41 +84,6 @@ impl Linear {
         (self.in_features, self.out_features)
     }
 
-    /// Eval-time fast path for binarized weights on ±1 inputs: the XNOR +
-    /// popcount GEMM `α_o · dot(sign(W_o), sign(x)) + b_o` over packed
-    /// bitplanes (see [`crate::packed`]). The integer dots are exact;
-    /// outputs can differ from [`Layer::forward`](super::Layer::forward)
-    /// only in the last ulp because α scales the whole dot instead of each
-    /// term. Inputs are read by sign, so callers must feed ±1 activations
-    /// (the output of any binarize layer).
-    ///
-    /// # Panics
-    /// Panics unless the layer has binary weights and `input` is
-    /// `[N, in_features]`.
-    pub fn forward_binary_packed(&self, input: &Tensor) -> Tensor {
-        assert!(self.binary_weights, "packed path needs binary weights");
-        assert_eq!(input.shape().len(), 2, "Linear expects [N, features]");
-        assert_eq!(input.shape()[1], self.in_features, "feature mismatch");
-        let n = input.shape()[0];
-        let w = crate::packed::pack_sign_rows(&self.weight);
-        let acts = crate::packed::pack_sign_rows(input);
-        let dots = crate::packed::sign_gemm(&w, &acts);
-        let alphas: Vec<f32> = (0..self.out_features)
-            .map(|o| {
-                let row = &self.weight.data()[o * self.in_features..(o + 1) * self.in_features];
-                binarize_weights(row).1
-            })
-            .collect();
-        let mut out = vec![0.0f32; n * self.out_features];
-        for o in 0..self.out_features {
-            for i in 0..n {
-                out[i * self.out_features + o] =
-                    alphas[o] * dots[o * n + i] as f32 + self.bias.data()[o];
-            }
-        }
-        Tensor::from_vec(&[n, self.out_features], out)
-    }
-
     /// Effective forward weights and per-output α (see
     /// [`Conv2d::effective_weight`](super::Conv2d::effective_weight)).
     pub fn effective_weight(&self) -> (Tensor, Vec<f32>) {
@@ -283,43 +248,6 @@ mod tests {
         let g = Tensor::from_vec(&[3, 2], vec![1., 2., 3., 4., 5., 6.]);
         let _ = lin.backward(&g);
         assert_eq!(lin.bias_grad.data(), &[9., 12.]);
-    }
-
-    #[test]
-    fn packed_binary_forward_matches_integer_reference() {
-        let mut r = rng();
-        let (fan_in, out, n) = (70, 5, 3); // ragged width: 70 % 64 != 0
-        let mut lin = Linear::new(fan_in, out, true, &mut r);
-        let input = Tensor::from_vec(
-            &[n, fan_in],
-            (0..n * fan_in)
-                .map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 })
-                .collect(),
-        );
-        let packed = lin.forward_binary_packed(&input);
-        assert_eq!(packed.shape(), &[n, out]);
-        for i in 0..n {
-            for o in 0..out {
-                let wrow = &lin.weight.data()[o * fan_in..(o + 1) * fan_in];
-                let dot: i32 = wrow
-                    .iter()
-                    .zip(&input.data()[i * fan_in..(i + 1) * fan_in])
-                    .map(|(&wv, &xv)| {
-                        let s = if wv >= 0.0 { 1 } else { -1 };
-                        let a = if xv >= 0.0 { 1 } else { -1 };
-                        s * a
-                    })
-                    .sum();
-                let alpha = wrow.iter().map(|v| v.abs()).sum::<f32>() / fan_in as f32;
-                let expect = alpha * dot as f32 + lin.bias.data()[o];
-                assert_eq!(packed.at2(i, o).to_bits(), expect.to_bits(), "({i},{o})");
-            }
-        }
-        // And it agrees with the float forward to rounding error.
-        let reference = lin.forward(&input, Mode::Eval, &mut r);
-        for (a, b) in packed.data().iter().zip(reference.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
     }
 
     #[test]

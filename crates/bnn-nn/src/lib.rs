@@ -33,7 +33,6 @@ pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod optim;
-pub mod packed;
 pub mod recu;
 pub mod tensor;
 

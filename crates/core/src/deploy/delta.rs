@@ -55,8 +55,8 @@
 //! # Consumers
 //!
 //! * `screening::detection_matrix` — one shared cache per ATPG run, one
-//!   [`DirtyChannels::from_site`] + [`PackedModel::delta_changed`] per
-//!   fault class.
+//!   [`DirtyChannels::from_layer_draws`] + [`PackedModel::delta_changed`]
+//!   per fault class.
 //! * `equiv::DieChecker::check_fault_universe` — the delta splice is
 //!   checked as a fifth engine against the faulted full forward.
 

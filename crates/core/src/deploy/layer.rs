@@ -507,14 +507,6 @@ impl DeployedConv {
     pub fn geometry(&self) -> (usize, usize, usize, usize, bool) {
         (self.in_c, self.k, self.stride, self.pad, self.pool)
     }
-
-    /// Crossbar evaluations (output pixels before pooling) per sample —
-    /// the energy model's activity factor.
-    pub fn evals_per_sample(&self, in_h: usize, in_w: usize) -> usize {
-        let oh = (in_h + 2 * self.pad - self.k) / self.stride + 1;
-        let ow = (in_w + 2 * self.pad - self.k) / self.stride + 1;
-        oh * ow
-    }
 }
 
 /// A deployed dense (fully-connected) cell.

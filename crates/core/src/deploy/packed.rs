@@ -31,12 +31,15 @@
 //!   rows, so each thread streams contiguous words.
 //!
 //! Crossbar *tiles* are sub-ranges of the fan-in: each tile's partial sum
-//! is `2 · popcount(XNOR(w, a) & tile mask) − rows`, evaluated by
-//! [`PackedMatrix::xnor_ones_range`] with boundary-word masking, so ragged
-//! tiles (fan-in not a multiple of 64, or tiles narrower than a word)
-//! are exact. Injected faults carry over from the deployment: stuck LiM
-//! cells are baked into the packed weight planes, dead columns override
-//! the tile vote.
+//! is `2 · popcount(XNOR(w, a) & tile mask) − rows`. When the tiles fit
+//! one lane width of 4, 8, 16 or 32 bits (a ragged last tile included),
+//! whole words of them are counted at once in SWAR lane fields
+//! ([`lane_counts_w`]). Tiles outside that layout are counted over their
+//! precomputed word spans with boundary-word masks, so ragged tiles
+//! (fan-in not a multiple of 64, or tiles narrower than a word) are
+//! exact. Injected faults carry over from the deployment: stuck LiM cells
+//! are baked into the packed weight planes, dead columns override the
+//! tile vote.
 
 use super::bitmap::BitMap;
 use super::layer::{DeployedCell, TiledMatrix};
@@ -823,24 +826,6 @@ impl PackedTiledMatrix {
         (2 * votes >= k) != ctx.flip
     }
 
-    /// The output bit of **one** channel for one packed activation word
-    /// slice — the column-granular kernel of the event-driven delta
-    /// engine ([`super::delta`]). Evaluates exactly the decision rule of
-    /// [`Self::forward_plane`] (SWAR lane votes, tail-tile masked
-    /// popcounts, majority vote with ties to '1', dead overrides, flip)
-    /// restricted to `channel`, so recomputing a faulted channel and
-    /// splicing it over a cached clean output is bit-identical to a full
-    /// re-evaluation: a structural fault on a die perturbs only the
-    /// channels of its column group, never a neighbor's votes.
-    ///
-    /// # Panics
-    /// Panics if `channel >= out()` or `acts` is shorter than the weight
-    /// rows.
-    #[inline]
-    pub fn forward_channel(&self, channel: usize, acts: &[u64]) -> bool {
-        self.channel_eval(channel).bit(acts)
-    }
-
     /// A hoisted single-channel evaluator: the per-channel weight row,
     /// SWAR biases, thresholds, dead overrides, and flip resolved
     /// **once**, so a caller voting one channel across a whole sample
@@ -1175,8 +1160,9 @@ pub struct ChannelEval<'a> {
 
 impl ChannelEval<'_> {
     /// The channel's output bit for one packed activation word slice —
-    /// identical to [`PackedTiledMatrix::forward_channel`] on the channel
-    /// this evaluator was built for.
+    /// bit `channel` of [`PackedTiledMatrix::forward_plane`] on the same
+    /// activations, so the delta engine ([`super::delta`]) can splice
+    /// re-voted faulted channels over a cached clean output bit for bit.
     ///
     /// # Panics
     /// Panics if `acts` is shorter than the weight rows.

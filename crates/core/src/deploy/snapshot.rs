@@ -73,7 +73,7 @@ use super::pipeline::{PackedConvStage, PackedLayer, PackedLinearStage, PackedPoo
 use aqfp_crossbar::AttenuationModel;
 use aqfp_sc::accumulate::CounterKind;
 use aqfp_sc::{BitPlane, PackedMatrix};
-use baselines::software::{PackedVec, PopcountLinear};
+use baselines::software::PopcountLinear;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -416,13 +416,16 @@ fn read_matrix<R: Read>(r: &mut R) -> Result<PackedTiledMatrix> {
 
 /// Walks the decoded stages from the input shape and checks every
 /// geometry seam the runtime kernels would otherwise `assert!` on, so a
-/// cross-layer-corrupt snapshot errors at load time.
+/// cross-layer-corrupt snapshot errors at load time. Every product of
+/// declared fields is checked, so a crafted header cannot overflow it.
 fn validate_chain(
     input_shape: [usize; 3],
     layers: &[PackedLayer],
     classifier_fan_in: usize,
 ) -> Result<()> {
+    let out_of_range = || SnapshotError::Corrupt("stage shape out of range");
     let mut shape = input_shape;
+    let mut volume = shape_volume(shape).ok_or_else(out_of_range)?;
     for layer in layers {
         shape = match layer {
             PackedLayer::Conv(c) => {
@@ -431,7 +434,8 @@ fn validate_chain(
                 if ch != in_c {
                     return Err(SnapshotError::Corrupt("conv input channel mismatch"));
                 }
-                if c.matrix().fan_in() != in_c * k * k {
+                let fan_in = in_c.checked_mul(k).and_then(|v| v.checked_mul(k));
+                if fan_in != Some(c.matrix().fan_in()) {
                     return Err(SnapshotError::Corrupt("conv fan-in / geometry mismatch"));
                 }
                 let (span_h, span_w) = (h + 2 * pad, w + 2 * pad);
@@ -455,15 +459,16 @@ fn validate_chain(
                 [c, h / 2, w / 2]
             }
             PackedLayer::Linear(l) => {
-                if l.matrix().fan_in() != shape[0] * shape[1] * shape[2] {
+                if l.matrix().fan_in() != volume {
                     return Err(SnapshotError::Corrupt("linear fan-in mismatch"));
                 }
                 [l.matrix().out(), 1, 1]
             }
-            PackedLayer::Flatten => [shape[0] * shape[1] * shape[2], 1, 1],
+            PackedLayer::Flatten => [volume, 1, 1],
         };
+        volume = shape_volume(shape).ok_or_else(out_of_range)?;
     }
-    if shape[0] * shape[1] * shape[2] != classifier_fan_in {
+    if volume != classifier_fan_in {
         return Err(SnapshotError::Corrupt("classifier fan-in mismatch"));
     }
     Ok(())
@@ -521,7 +526,7 @@ impl PackedModel {
             w_f32(w, b)?;
         }
         for row in pop.rows() {
-            for &word in row.plane().words() {
+            for &word in row.words() {
                 w_u64(w, word)?;
             }
         }
@@ -597,8 +602,7 @@ impl PackedModel {
         for _ in 0..out {
             // `from_words` re-normalizes the tail, keeping the plane
             // invariant even if a foreign writer set slack bits.
-            let plane = BitPlane::from_words(r_u64s(r, wpr)?, fan_in);
-            rows.push(PackedVec::from_plane(plane));
+            rows.push(BitPlane::from_words(r_u64s(r, wpr)?, fan_in));
         }
         validate_chain(input_shape, &layers, fan_in)?;
         let classifier =

@@ -483,7 +483,7 @@ impl DieChecker {
                 let full = packed.forward_plane(&input);
                 let mut spliced = self.packed.forward_plane(&input);
                 for &ch in &dirty {
-                    let bit = packed.forward_channel(ch, input.words());
+                    let bit = packed.channel_eval(ch).bit(input.words());
                     if bit != spliced.get(ch) {
                         spliced.set(ch, bit);
                     }

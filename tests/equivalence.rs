@@ -9,11 +9,11 @@
 
 use aqfp_device::SeedableRng;
 use aqfp_sc::CounterStream;
-use bnn_datasets::{digits::generate_digits, SynthConfig};
+use bnn_datasets::{digits::generate_digits, objects::generate_objects, Dataset, SynthConfig};
 use bnn_nn::layers::Mode;
 use bnn_nn::{NnRng, Sequential};
 use superbnn::config::HardwareConfig;
-use superbnn::deploy::{deploy, BitMap, TiledMatrix};
+use superbnn::deploy::{deploy, BitMap, DeployedModel, TiledMatrix};
 use superbnn::equiv::{DieChecker, Engine, ModelChecker};
 use superbnn::spec::NetSpec;
 use superbnn::trainer::{TrainConfig, Trainer};
@@ -138,10 +138,33 @@ fn four_engine_lattice_is_exhaustive_on_a_single_tile_die() {
     }
 }
 
-/// Model-level equivalence on a trained MLP: the checker walks the
-/// pipeline cell by cell on every engine pair over real eval inputs,
-/// and its per-engine classification matches the engines' own
-/// end-to-end entry points.
+/// Model-level equivalence over the first `n` samples of `data`: the
+/// checker walks the pipeline cell by cell on every engine pair, and
+/// every engine's walk equals the scalar digital engine's own end-to-end
+/// classification.
+fn assert_model_lattice(deployed: &DeployedModel, data: &Dataset, n: usize, what: &str) {
+    let checker = ModelChecker::new(deployed);
+    let planes: Vec<_> = (0..n)
+        .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
+        .collect();
+    for pair in Engine::pairs() {
+        let proof = checker
+            .check_planes(pair, &planes)
+            .unwrap_or_else(|ce| panic!("{what}: equivalence broken: {ce}"));
+        assert_eq!(proof.cases, n);
+    }
+    for (i, plane) in planes.iter().enumerate() {
+        let want = deployed.classify_digital(&data.images, i);
+        for engine in Engine::ALL {
+            assert_eq!(
+                checker.classify(engine, plane),
+                want,
+                "{what}: {engine:?} sample {i}"
+            );
+        }
+    }
+}
+
 #[test]
 fn trained_model_agrees_across_all_engine_pairs() {
     let data = generate_digits(&SynthConfig {
@@ -161,22 +184,34 @@ fn trained_model_agrees_across_all_engine_pairs() {
     })
     .train(&mut model, &data);
     let deployed = deploy(&spec, &model, &hw).expect("deploys");
-    let checker = ModelChecker::new(&deployed);
-    let planes: Vec<_> = (0..8)
-        .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
-        .collect();
-    for pair in Engine::pairs() {
-        let proof = checker
-            .check_planes(pair, &planes)
-            .unwrap_or_else(|ce| panic!("equivalence broken: {ce}"));
-        assert_eq!(proof.cases, planes.len());
-    }
-    // The checker's walk is bit-identical to the engines' own entry
-    // points.
-    for (i, plane) in planes.iter().enumerate() {
-        let want = deployed.classify_digital(&data.images, i);
-        assert_eq!(checker.classify(Engine::ScalarDigital, plane), want);
-        assert_eq!(checker.classify(Engine::PackedDigital, plane), want);
+    assert_model_lattice(&deployed, &data, 8, "MLP");
+}
+
+/// The same lattice on a conv pipeline, so the checker's conv, pool and
+/// stochastic-limit arms and the wide-word (`V256`) conv kernel are
+/// reached too: crossbars of 32×16, 8×8 (SWAR lane tiles) and 12×12
+/// (ragged tiles).
+#[test]
+fn trained_vgg_agrees_across_all_engine_pairs() {
+    let data = generate_objects(&SynthConfig {
+        samples_per_class: 2,
+        ..Default::default()
+    });
+    let spec = NetSpec::vgg_small([3, 16, 16], 4, 10);
+    for (rows, cols) in [(32, 16), (8, 8), (12, 12)] {
+        let hw = HardwareConfig {
+            crossbar_rows: rows,
+            crossbar_cols: cols,
+            ..Default::default()
+        };
+        let mut model = spec.build_software(&hw, 17);
+        Trainer::new(TrainConfig {
+            epochs: 1,
+            ..Default::default()
+        })
+        .train(&mut model, &data);
+        let deployed = deploy(&spec, &model, &hw).expect("deploys");
+        assert_model_lattice(&deployed, &data, 6, &format!("VGG {rows}×{cols}"));
     }
 }
 

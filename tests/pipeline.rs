@@ -1,10 +1,11 @@
 //! End-to-end integration: train → BN-match → tile → deploy → infer, with
 //! the claims that define a working reproduction.
 
-use aqfp_sc::CounterStream;
-use bnn_datasets::{digits::generate_digits, objects::generate_objects, SynthConfig};
+use aqfp_device::VariationModel;
+use aqfp_sc::{BitPlane, CounterStream};
+use bnn_datasets::{digits::generate_digits, objects::generate_objects, Dataset, SynthConfig};
 use superbnn::config::HardwareConfig;
-use superbnn::deploy::deploy;
+use superbnn::deploy::{deploy, BitMap, DeployedModel};
 use superbnn::energy;
 use superbnn::spec::NetSpec;
 use superbnn::trainer::{TrainConfig, Trainer};
@@ -29,6 +30,30 @@ fn good_hw() -> HardwareConfig {
     }
 }
 
+/// Top-1 accuracies of `deployed` over the first `n` samples of `data`,
+/// one per eval seed, on the packed stochastic engine. It draws the same
+/// counter-stream windows as the scalar `DeployedModel::accuracy(data,
+/// seed, Some(n))`, so each figure is the scalar one, at a fraction of
+/// its cost.
+fn stochastic_accuracies(
+    deployed: &DeployedModel,
+    data: &Dataset,
+    n: usize,
+    seeds: impl IntoIterator<Item = u64>,
+) -> Vec<f64> {
+    let packed = deployed.to_packed();
+    let tables = packed.stochastic_tables(&VariationModel::nominal());
+    let planes: Vec<BitPlane> = (0..n)
+        .map(|i| BitMap::from_tensor_sample(&data.images, i).to_plane())
+        .collect();
+    seeds
+        .into_iter()
+        .map(|seed| {
+            packed.accuracy_stochastic_planes_ctr(&tables, &planes, &data.labels[..n], seed)
+        })
+        .collect()
+}
+
 #[test]
 fn vgg_learns_and_deploys_close_to_software() {
     let data = generate_objects(&SynthConfig {
@@ -45,11 +70,10 @@ fn vgg_learns_and_deploys_close_to_software() {
     assert!(software > 0.6, "software accuracy too low: {software}");
 
     let deployed = deploy(&spec, &model, &hw).expect("deploys");
-    let hardware = deployed.accuracy(&test, 1, Some(80));
+    let hardware = stochastic_accuracies(&deployed, &test, 80, [1])[0];
     assert!(hardware > 0.5, "deployed accuracy too low: {hardware}");
-    // At the co-optimized point the deployment gap is bounded. (At the
-    // full tablegen training budget the gap shrinks to a few points — see
-    // EXPERIMENTS.md; this integration test trains for a fraction of that.)
+    // At the co-optimized point the deployment gap is bounded. (This
+    // integration test trains for a fraction of tablegen's budget.)
     assert!(
         hardware > software - 0.3,
         "deployment gap too large: {software} -> {hardware}"
@@ -93,8 +117,8 @@ fn longer_bitstreams_do_not_hurt() {
             ..hw
         };
         let deployed = deploy(&spec, &model, &hw_l).expect("deploys");
-        (0..3)
-            .map(|seed| deployed.accuracy(&test, 2 + seed, None))
+        stochastic_accuracies(&deployed, &test, test.len(), 2..5)
+            .into_iter()
             .sum::<f64>()
             / 3.0
     };

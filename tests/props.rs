@@ -8,7 +8,6 @@ use aqfp_netlist::balance::{balance, fanout_is_legal, is_balanced, legalize_fano
 use aqfp_netlist::random::{random_dag, RandomDagConfig};
 use aqfp_sc::number::parse_stream;
 use aqfp_sc::{Apc, BitPlane, Bitstream, CounterStream};
-use baselines::software::PackedVec;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use superbnn::bnmatch::{bn_match, matched_decision, reference_decision};
@@ -63,7 +62,7 @@ proptest! {
     ) {
         let w: Vec<f32> = bits.iter().map(|&(b, _)| if b { 1.0 } else { -1.0 }).collect();
         let a: Vec<f32> = bits.iter().map(|&(_, b)| if b { 1.0 } else { -1.0 }).collect();
-        let packed = PackedVec::from_signs(&w).dot(&PackedVec::from_signs(&a));
+        let packed = BitPlane::from_signs(&w).xnor_dot(&BitPlane::from_signs(&a)) as i32;
         let wcol: Vec<Vec<Bit>> = w.iter().map(|&v| vec![Bit::from_sign(v as f64)]).collect();
         let acol: Vec<Bit> = a.iter().map(|&v| Bit::from_sign(v as f64)).collect();
         let xbar = Crossbar::new(CrossbarConfig::default(), wcol).unwrap();
@@ -186,35 +185,6 @@ proptest! {
         prop_assert_eq!(pa.xnor_ones(&pb), ua.xnor(&ub).ones());
         prop_assert_eq!(pa.not().ones(), n - ua.ones());
         prop_assert_eq!(pa.to_bitstream(), ua);
-    }
-
-    /// The packed XNOR–popcount GEMM equals the scalar signed-dot
-    /// reference for random shapes, ragged (non-multiple-of-64) widths and
-    /// batch sizes — bit-exact integer equality.
-    #[test]
-    fn packed_gemm_equals_scalar_reference(
-        out in 1usize..12,
-        batch in 1usize..8,
-        width in 1usize..300,
-        seed in 0u64..500,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let w = sign_matrix(&mut rng, out * width);
-        let a = sign_matrix(&mut rng, batch * width);
-        let wt = bnn_nn::Tensor::from_vec(&[out, width], w.clone());
-        let at = bnn_nn::Tensor::from_vec(&[batch, width], a.clone());
-        let dots = bnn_nn::packed::sign_gemm(
-            &bnn_nn::packed::pack_sign_rows(&wt),
-            &bnn_nn::packed::pack_sign_rows(&at),
-        );
-        for o in 0..out {
-            for n in 0..batch {
-                let expect: i64 = (0..width)
-                    .map(|i| (w[o * width + i] * a[n * width + i]) as i64)
-                    .sum();
-                prop_assert_eq!(dots[o * batch + n], expect, "o {} n {}", o, n);
-            }
-        }
     }
 
     /// The packed deploy engine is bit-exactly the scalar digital engine

@@ -245,3 +245,32 @@ fn overflowing_input_shape_is_corrupt() {
         Err(SnapshotError::Corrupt(_))
     ));
 }
+
+/// A VGG snapshot whose header is patched to input `[1024, 1, 1]` and a
+/// first conv with 1024 input channels and a 2²⁸ kernel passes every
+/// per-field cap, but its fan-in `in_c·k·k` overflows: it must decode to
+/// a typed error, not an overflow panic (nor a wrapped product that
+/// happens to mismatch).
+#[test]
+fn overflowing_conv_fan_in_is_corrupt() {
+    let hw = HardwareConfig {
+        crossbar_rows: 8,
+        crossbar_cols: 8,
+        ..Default::default()
+    };
+    let spec = NetSpec::vgg_small([3, 8, 8], 2, 10);
+    let model = spec.build_software(&hw, 5);
+    let packed = deploy(&spec, &model, &hw).expect("deploys").to_packed();
+    let mut bytes = snapshot_bytes(&packed);
+    // Header: magic (8) + version (4), the [C, H, W] input shape at 12,
+    // the stage count at 36, then the first stage's tag at 40 and its
+    // conv geometry (in_c, k, stride, pad) from 41.
+    assert_eq!(bytes[40], 0, "first stage is a conv");
+    for (at, value) in [(12, 1024u64), (20, 1), (28, 1), (41, 1024), (49, 1 << 28)] {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    assert!(matches!(
+        PackedModel::read_snapshot(&mut bytes.as_slice()),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
