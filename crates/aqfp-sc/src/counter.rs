@@ -40,23 +40,28 @@
 //! Decisions consume the draw words eight Bernoulli bits at a time: each
 //! 64-bit draw is split into eight independent byte-wide uniform lanes,
 //! and bit `g` of a stream's decision tape compares lane `g mod 8` of
-//! draw `⌊g/8⌋` against the threshold rounded to 8 bits (see
+//! draw `⌊g/8⌋` against the **lane threshold** `t8 ∈ 0..=256`, the draw
+//! threshold rounded to 8 bits ([`lane_threshold`]; see
 //! [`bernoulli_threshold`](crate::bitplane::bernoulli_threshold) for the
 //! 53-bit threshold it is rounded from). One mix is amortized over eight
 //! decisions at a probability quantization of 2⁻⁸ (bias ≤ 2⁻⁹ — the
 //! resolution of the byte-wide LFSR comparators real SC front-ends
 //! deploy, and well below the gray-zone model's own tolerances; the
 //! `word_fill_rate_tracks_probability` test checks the byte law against
-//! the `f64` law).
+//! the `f64` law). `t8 = 0` never fires and `t8 = 256` always fires, so
+//! the saturated ends need no sentinel: the same compare decides them.
 //!
 //! Within one stream, a *batch* of observation windows (the cells of a
 //! packed matrix evaluation) lives on that flat decision tape: window `i`
 //! of length `L` starts at bit `i · ⌈L/8⌉·8` (draw-aligned), so a window
-//! costs exactly `⌈L/8⌉` mixes and no per-window key derivation. The
-//! stream *tree* ([`CounterStream::derive`]) addresses coarser
-//! coordinates — sample, stage, pixel — where the fan-out is irregular.
-
-use crate::bitplane::{BERNOULLI_ALWAYS, BERNOULLI_NEVER};
+//! costs exactly `⌈L/8⌉` mixes and no per-window key derivation.
+//! [`CounterStream::window_counts`] counts the '1's of a whole batch
+//! without materializing it — every window, saturated or not, through one
+//! branch-free SWAR compare, eight windows per block — and
+//! [`CounterStream::sample_bernoulli_windows`] materializes the batch for
+//! consumers that need the bits themselves. The stream *tree*
+//! ([`CounterStream::derive`]) addresses coarser coordinates — sample,
+//! stage, pixel — where the fan-out is irregular.
 
 /// The golden-ratio Weyl increment of SplitMix64: coprime to 2⁶⁴, so
 /// `key + ctr·γ` walks all of `u64` before repeating.
@@ -72,55 +77,70 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Rounds a 53-bit serial draw threshold (`⌈p·2⁵³⌉`, see
+/// Rounds a 53-bit draw threshold (`⌈p·2⁵³⌉`, see
 /// [`crate::bitplane::bernoulli_threshold`]) to the byte-lane domain: a
-/// lane fires iff its 8 uniform bits fall below `round(p·2⁸)`, so the
-/// realized probability is within 2⁻⁹ of `p`. Only called with live
-/// (non-sentinel) thresholds, whose results span `0..=2⁸` — `2⁸` itself
-/// must remain representable (`p = 1 - ε` rounds up to an always-fires
-/// lane).
-#[inline]
-fn threshold8(thr: u64) -> u32 {
-    (((thr >> 44) + 1) >> 1) as u32
-}
-
-/// True when `threshold` rounds to a byte-lane threshold of zero: under
-/// the counter law **no** decision can fire, so a window fill is certainly
-/// all-'0' — the draw-free equivalent of [`BERNOULLI_NEVER`], which this
-/// predicate also accepts. Lets table builders mark deep-gray-zone-tail
-/// cells (`0 < p < 2⁻⁹`) as counter-saturated and skip their draws
-/// entirely; the skipped result is bit-identical, not approximate.
+/// lane fires iff its 8 uniform bits fall below `t8 = round(p·2⁸)`, so
+/// the realized probability is within 2⁻⁹ of `p`. The result spans
+/// `0..=256`: `0` never fires — [`BERNOULLI_NEVER`](crate::bitplane::BERNOULLI_NEVER)
+/// and every deep-gray-zone tail `0 < p < 2⁻⁹` — and `256` always fires —
+/// [`BERNOULLI_ALWAYS`](crate::bitplane::BERNOULLI_ALWAYS) and every
+/// `p > 1 − 2⁻⁹`. A window at either end is constant under the counter
+/// law, so table builders can resolve it without drawing and get the
+/// sampler's bits exactly.
 #[inline]
 #[must_use]
-pub fn counter_never(threshold: u64) -> bool {
-    threshold >> 44 == 0
+pub fn lane_threshold(threshold: u64) -> u16 {
+    (((threshold >> 44) + 1) >> 1).min(1 << 8) as u16
 }
 
-/// True when `threshold` rounds to a byte-lane threshold of 2⁸: every
-/// decision fires, so a window fill is certainly all-'1' — the draw-free
-/// equivalent of [`BERNOULLI_ALWAYS`], which this predicate also accepts
-/// (`p > 1 − 2⁻⁹` rounds up to an always-fires lane).
+const LO: u64 = 0x00FF_00FF_00FF_00FF;
+const ONES: u64 = 0x0001_0001_0001_0001;
+
+/// Whole draws per SWAR fold: two lanes per 16-bit field per draw keeps
+/// the four field sums, and the one-multiply sum over them, below 2¹⁶.
+const FOLD_DRAWS: usize = 1 << 12;
+
+/// The SWAR addend of lane threshold `t8 ∈ 0..=256`: `256 - t8` in every
+/// 16-bit field, so bit 8 of `byte + addend` is the lane's `byte ≥ t8`
+/// carry (field sums peak at 511, so carries never cross fields).
 #[inline]
-#[must_use]
-pub fn counter_always(threshold: u64) -> bool {
-    threshold == BERNOULLI_ALWAYS || threshold8(threshold) >= 1 << 8
+fn lane_addend(t8: u16) -> u64 {
+    (0x100 - u64::from(t8)) * ONES
+}
+
+/// Per-16-bit-field counts of the byte lanes of draw `z` at or above the
+/// lane threshold whose addend is `c` (two lanes per field).
+#[inline]
+fn lanes_ge(z: u64, c: u64) -> u64 {
+    (((z & LO).wrapping_add(c) >> 8) & ONES) + ((((z >> 8) & LO).wrapping_add(c) >> 8) & ONES)
+}
+
+/// The sum of the four 16-bit fields of `ge`, in one multiply.
+#[inline]
+fn fold_fields(ge: u64) -> u32 {
+    (ge.wrapping_mul(ONES) >> 48) as u32
 }
 
 /// An 8-bit mask with bit `j` set iff byte lane `j` of draw `z` falls
-/// below `t8` (which must be in `1..=255`): branch-free SWAR compare.
-/// The even and odd byte lanes are widened into 16-bit fields, `256 -
-/// t8` is added so bit 8 of each field becomes that lane's `byte ≥ t8`
-/// carry (field sums peak at 510, so carries never cross fields), and
-/// the inverted carries are gathered back into one byte.
+/// below `t8 ∈ 0..=256`: the inverted carries of [`lanes_ge`] gathered
+/// back into one byte, branch-free.
 #[inline]
-fn byte_lt_mask(z: u64, t8: u32) -> u64 {
-    const LO: u64 = 0x00FF_00FF_00FF_00FF;
-    const ONES: u64 = 0x0001_0001_0001_0001;
-    let c = (0x100 - u64::from(t8)) * ONES;
+fn byte_lt_mask(z: u64, t8: u16) -> u64 {
+    let c = lane_addend(t8);
     let even = !((z & LO).wrapping_add(c) >> 8) & ONES; // lanes 0,2,4,6
     let odd = !(((z >> 8) & LO).wrapping_add(c) >> 8) & ONES; // lanes 1,3,5,7
     ((even | (even >> 14) | (even >> 28) | (even >> 42)) & 0x55)
         | (((odd << 1) | (odd >> 13) | (odd >> 27) | (odd >> 41)) & 0xAA)
+}
+
+/// The low `bits` bits set (`bits ≤ 64`).
+#[inline]
+fn low_mask(bits: usize) -> u64 {
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
 }
 
 /// The 64-bit Murmur3-style finalizer — a second, structurally different
@@ -186,240 +206,152 @@ impl CounterStream {
 
     /// One Bernoulli decision at global bit position `g`: byte lane
     /// `g mod 8` of draw `⌊g/8⌋`, compared against `t8` (see
-    /// [`threshold8`]).
+    /// [`lane_threshold`]).
     #[inline]
-    fn lane_decision(&self, g: u64, t8: u32) -> bool {
+    fn lane_decision(&self, g: u64, t8: u16) -> bool {
         let z = self.draw(g >> 3);
-        (((z >> (8 * (g & 7))) & 0xFF) as u32) < t8
+        ((z >> (8 * (g & 7))) & 0xFF) < u64::from(t8)
     }
 
     /// One packed word of up to 64 Bernoulli bits: bit `t` is decided by
     /// byte lane `(base + t) mod 8` of draw `⌊(base + t) / 8⌋` against
     /// the 8-bit-rounded threshold — eight decisions per mix (see the
-    /// module docs). Sentinel thresholds fill constant without draws.
-    /// Bits at and above `bits` are zero.
-    ///
-    /// The inner loop has **no loop-carried dependency** — each draw's
-    /// mix is independent — so the multiplies pipeline (and vectorize
-    /// where the target has 64-bit vector multiply).
+    /// module docs). Thresholds that round to a saturated lane threshold
+    /// fill constant without draws. Bits at and above `bits` are zero.
     ///
     /// # Panics
     /// Panics if `bits > 64`.
     #[inline]
     #[must_use]
     pub fn bernoulli_word(&self, threshold: u64, base: u64, bits: usize) -> u64 {
-        assert!(bits <= 64, "a word holds at most 64 lanes, got {bits}");
-        match threshold {
-            BERNOULLI_NEVER => 0,
-            BERNOULLI_ALWAYS => {
-                if bits == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits) - 1
-                }
-            }
-            thr => {
-                let t8 = threshold8(thr);
-                // Quantized saturation: a threshold whose 8-bit rounding
-                // hits 0 (or 2⁸) decides every lane the same way — fill
-                // the constant without drawing (see [`counter_never`]).
-                if t8 == 0 {
-                    return 0;
-                }
-                if t8 > 0xFF {
-                    return if bits == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << bits) - 1
-                    };
-                }
-                let mut word = 0u64;
-                let mut t = 0usize;
-                // Align on a draw boundary, then take whole draws (eight
-                // lanes each), then the ragged tail.
-                while t < bits && base.wrapping_add(t as u64) & 7 != 0 {
-                    word |= (self.lane_decision(base.wrapping_add(t as u64), t8) as u64) << t;
-                    t += 1;
-                }
-                while t + 8 <= bits {
-                    let z = self.draw(base.wrapping_add(t as u64) >> 3);
-                    word |= byte_lt_mask(z, t8) << t;
-                    t += 8;
-                }
-                while t < bits {
-                    word |= (self.lane_decision(base.wrapping_add(t as u64), t8) as u64) << t;
-                    t += 1;
-                }
-                word
-            }
-        }
+        self.lane_word(lane_threshold(threshold), base, bits)
     }
 
-    /// The number of '1' bits a `len`-bit window fill at tape position
-    /// `base` would produce —
-    /// `self.sample_bernoulli_words(threshold, base, len, ..)`
-    /// popcounted, without materializing the words: each draw's eight
-    /// lane compares are reduced by SWAR carry-harvesting (widen lanes to
-    /// 16-bit fields, add `256 - t8`, sum the `≥` carries at bit 8, fold
-    /// with one multiply) — no per-lane extraction, no popcount. This is
-    /// what the exact-APC accumulation actually consumes, so the packed
-    /// stochastic engine can skip the stream buffer
-    /// entirely: saturated cells contribute their constant for free and
-    /// live cells are counted straight out of the generator.
+    /// [`bernoulli_word`](Self::bernoulli_word) at lane threshold `t8`.
+    /// The inner loop has **no loop-carried dependency** — each draw's
+    /// mix is independent — so the multiplies pipeline (and vectorize
+    /// where the target has 64-bit vector multiply).
     #[inline]
-    #[must_use]
-    pub fn bernoulli_count(&self, threshold: u64, base: u64, len: usize) -> u32 {
-        match threshold {
-            BERNOULLI_NEVER => 0,
-            BERNOULLI_ALWAYS => len as u32,
-            thr => {
-                let t8 = threshold8(thr);
-                // Same quantized-saturation constants as `bernoulli_word`.
-                if t8 == 0 {
-                    return 0;
-                }
-                if t8 > 0xFF {
-                    return len as u32;
-                }
-                let mut total = 0u32;
-                let mut t = 0usize;
-                while t < len && base.wrapping_add(t as u64) & 7 != 0 {
-                    total += self.lane_decision(base.wrapping_add(t as u64), t8) as u32;
-                    t += 1;
-                }
-                const LO: u64 = 0x00FF_00FF_00FF_00FF;
-                const ONES: u64 = 0x0001_0001_0001_0001;
-                let c = (0x100 - u64::from(t8)) * ONES;
-                while t + 8 <= len {
-                    // Accumulate `byte ≥ t8` carries per 16-bit field, two
-                    // lanes per field per draw: a fold every ≤ 2¹² draws
-                    // keeps the single-multiply horizontal sum below 2¹⁶.
-                    let stop = t + ((len - t) & !7).min(8 << 12);
-                    let span = (stop - t) as u32;
-                    let mut ge = 0u64;
-                    while t < stop {
-                        let z = self.draw(base.wrapping_add(t as u64) >> 3);
-                        ge += ((z & LO).wrapping_add(c) >> 8) & ONES;
-                        ge += (((z >> 8) & LO).wrapping_add(c) >> 8) & ONES;
-                        t += 8;
-                    }
-                    total += span - (ge.wrapping_mul(ONES) >> 48) as u32;
-                }
-                while t < len {
-                    total += self.lane_decision(base.wrapping_add(t as u64), t8) as u32;
-                    t += 1;
-                }
-                total
-            }
+    fn lane_word(&self, t8: u16, base: u64, bits: usize) -> u64 {
+        assert!(bits <= 64, "a word holds at most 64 lanes, got {bits}");
+        // A saturated lane threshold decides every lane the same way:
+        // fill the constant without drawing.
+        if t8 & 0xFF == 0 {
+            return if t8 == 0 { 0 } else { low_mask(bits) };
         }
+        let mut word = 0u64;
+        let mut t = 0usize;
+        // Align on a draw boundary, then take whole draws (eight lanes
+        // each), then the ragged tail.
+        while t < bits && base.wrapping_add(t as u64) & 7 != 0 {
+            word |= (self.lane_decision(base.wrapping_add(t as u64), t8) as u64) << t;
+            t += 1;
+        }
+        while t + 8 <= bits {
+            let z = self.draw(base.wrapping_add(t as u64) >> 3);
+            word |= byte_lt_mask(z, t8) << t;
+            t += 8;
+        }
+        while t < bits {
+            word |= (self.lane_decision(base.wrapping_add(t as u64), t8) as u64) << t;
+            t += 1;
+        }
+        word
     }
 
-    /// Writes the '1' counts of a dense batch of **live** windows:
-    /// window `windows[i]` (threshold `thresholds[i]`, `len` bits) sits
-    /// at tape position `windows[i] · window_stride(len)` — the same
-    /// addressing as
-    /// [`sample_bernoulli_windows`](Self::sample_bernoulli_windows) — and
-    /// its would-be fill popcount lands in `out[i]`.
+    /// Counts the '1's of the consecutive windows `0..t8.len()` of this
+    /// stream without materializing them: window `i` holds `len`
+    /// decisions at tape position `i · window_stride(len)` against lane
+    /// threshold `t8[i] ∈ 0..=256`, and its count lands in `out[i]` —
+    /// the popcount of
+    /// [`sample_bernoulli_words`](Self::sample_bernoulli_words) at that
+    /// position for any threshold whose [`lane_threshold`] is `t8[i]`.
     ///
-    /// This is the batch form of
-    /// [`bernoulli_count`](Self::bernoulli_count) for callers that have
-    /// already screened out saturated cells (the packed engine's
-    /// counter-saturation cutoffs): every threshold here **must** round
-    /// to a live byte-lane threshold (`1..=255`, debug-asserted), which
-    /// lets the loop skip all sentinel/saturation dispatch and run the
-    /// draw kernel back to back. The whole batch is pure elementwise
-    /// arithmetic — thresholds, keys, counters, SWAR folds — so the
-    /// dominant 16-bit-window shape runs as fixed 8-window blocks that
-    /// the compiler turns into vector mixes (this is where the counter
-    /// discipline's order freedom pays: eight windows' draws are eight
-    /// independent expressions, something a serial chain can never
-    /// offer).
+    /// Every window is drawn, saturated or not: the SWAR carry count is
+    /// exact at both ends (`t8 = 0` counts 0, `t8 = 256` counts `len`),
+    /// so a caller hands over a whole matrix of cells with no screening
+    /// and the kernel runs without a per-cell branch. Whole-draw lengths
+    /// (`len % 8 == 0`) run in blocks of eight windows — straight-line
+    /// elementwise arithmetic over independent draws, which the compiler
+    /// turns into vector mixes (the counter discipline's order freedom at
+    /// work) — and a block whose eight windows are all saturated skips
+    /// its draws. Ragged lengths and the last `n mod 8` windows are
+    /// counted one window at a time.
     ///
     /// # Panics
-    /// Panics if `windows` or `out` is shorter than `thresholds`.
-    pub fn bernoulli_windows_counts(
-        &self,
-        thresholds: &[u64],
-        windows: &[usize],
-        len: usize,
-        out: &mut [u32],
-    ) {
-        let n = thresholds.len();
-        assert!(windows.len() >= n, "window index per threshold required");
-        assert!(out.len() >= n, "count slot per threshold required");
-        const LO: u64 = 0x00FF_00FF_00FF_00FF;
-        const ONES: u64 = 0x0001_0001_0001_0001;
-        let stride = Self::window_stride(len);
-        let full = len / 8;
-        let tail = len % 8;
-        let tail_mask = (1u64 << tail) - 1;
-        let mut done = 0usize;
-        if full == 2 && tail == 0 {
-            // The dominant shape (the default 16-cycle observation
-            // window): two draws and one SWAR reduction per window, no
-            // inner loops, processed in fixed-width blocks of eight so
-            // the whole block is straight-line elementwise arithmetic
-            // over arrays — the autovectorizer's favorite diet.
-            let blocks = n / 8;
-            for b in 0..blocks {
-                let tc = &thresholds[b * 8..][..8];
-                let wc = &windows[b * 8..][..8];
-                let oc = &mut out[b * 8..][..8];
-                for j in 0..8 {
-                    let t8 = threshold8(tc[j]);
-                    debug_assert!(
-                        (1..=255).contains(&t8),
-                        "saturated threshold in a live-window batch"
-                    );
-                    let c = (0x100 - u64::from(t8)) * ONES;
-                    let d0 = (wc[j] as u64).wrapping_mul(2);
-                    let z0 = self.draw(d0);
-                    let z1 = self.draw(d0 + 1);
-                    let ge = (((z0 & LO).wrapping_add(c) >> 8) & ONES)
-                        + ((((z0 >> 8) & LO).wrapping_add(c) >> 8) & ONES)
-                        + (((z1 & LO).wrapping_add(c) >> 8) & ONES)
-                        + ((((z1 >> 8) & LO).wrapping_add(c) >> 8) & ONES);
-                    oc[j] = 16 - (ge.wrapping_mul(ONES) >> 48) as u32;
+    /// Panics if `out` is shorter than `t8`.
+    pub fn window_counts(&self, t8: &[u16], len: usize, out: &mut [u32]) {
+        let n = t8.len();
+        assert!(out.len() >= n, "count slot per window required");
+        let (draws, tail) = (len / 8, len % 8);
+        let mut done = 0;
+        if tail == 0 && draws <= FOLD_DRAWS {
+            let lane_keys: [u64; 8] =
+                std::array::from_fn(|j| ((j * draws) as u64).wrapping_mul(GOLDEN_GAMMA));
+            for (b, (tc, oc)) in t8.chunks_exact(8).zip(out.chunks_exact_mut(8)).enumerate() {
+                if tc.iter().fold(0, |acc, &t| acc | t) & 0xFF == 0 {
+                    for (o, &t) in oc.iter_mut().zip(tc) {
+                        *o = u32::from(t >> 8) * len as u32;
+                    }
+                    continue;
+                }
+                let key = self
+                    .key
+                    .wrapping_add(((b * 8 * draws) as u64).wrapping_mul(GOLDEN_GAMMA));
+                if draws == 2 {
+                    // The default 16-cycle window: two draws per window,
+                    // no inner loop.
+                    for j in 0..8 {
+                        let c = lane_addend(tc[j]);
+                        let k = key.wrapping_add(lane_keys[j]);
+                        let ge = lanes_ge(mix64(k), c)
+                            + lanes_ge(mix64(k.wrapping_add(GOLDEN_GAMMA)), c);
+                        oc[j] = 16 - fold_fields(ge);
+                    }
+                } else {
+                    let c: [u64; 8] = std::array::from_fn(|j| lane_addend(tc[j]));
+                    let mut ge = [0u64; 8];
+                    for d in 0..draws {
+                        let kd = key.wrapping_add((d as u64).wrapping_mul(GOLDEN_GAMMA));
+                        for j in 0..8 {
+                            ge[j] += lanes_ge(mix64(kd.wrapping_add(lane_keys[j])), c[j]);
+                        }
+                    }
+                    for j in 0..8 {
+                        oc[j] = len as u32 - fold_fields(ge[j]);
+                    }
                 }
             }
-            done = blocks * 8;
+            done = n - n % 8;
         }
+        let stride = Self::window_stride(len);
         for i in done..n {
-            let t8 = threshold8(thresholds[i]);
-            debug_assert!(
-                (1..=255).contains(&t8),
-                "saturated threshold in a live-window batch"
-            );
-            let c = (0x100 - u64::from(t8)) * ONES;
-            let d0 = (windows[i] as u64).wrapping_mul(stride) >> 3;
+            let t = t8[i];
+            let c = lane_addend(t);
+            let d0 = (i as u64).wrapping_mul(stride) >> 3;
+            let mut count = 0u32;
             let mut d = 0usize;
-            let mut count = 0u64;
-            while d < full {
-                // Fold every ≤ 2¹² draws so the per-field carry sums stay
-                // below 2¹⁶ (2 lanes per field per draw).
-                let stop = full.min(d + (1 << 12));
-                let span = ((stop - d) * 8) as u64;
+            while d < draws {
+                let stop = draws.min(d + FOLD_DRAWS);
                 let mut ge = 0u64;
-                while d < stop {
-                    let z = self.draw(d0 + d as u64);
-                    ge += ((z & LO).wrapping_add(c) >> 8) & ONES;
-                    ge += (((z >> 8) & LO).wrapping_add(c) >> 8) & ONES;
-                    d += 1;
+                for dd in d..stop {
+                    ge += lanes_ge(self.draw(d0 + dd as u64), c);
                 }
-                count += span - (ge.wrapping_mul(ONES) >> 48);
+                count += ((stop - d) * 8) as u32 - fold_fields(ge);
+                d = stop;
             }
             if tail > 0 {
-                let z = self.draw(d0 + full as u64);
-                count += u64::from((byte_lt_mask(z, t8) & tail_mask).count_ones());
+                let z = self.draw(d0 + draws as u64);
+                count += (byte_lt_mask(z, t) & low_mask(tail)).count_ones();
             }
-            out[i] = count as u32;
+            out[i] = count;
         }
     }
 
     /// Samples `len` i.i.d. Bernoulli bits into a packed word slice
     /// ([`crate::BitPlane`] bit order, tail bits cleared): bit `t` of the
     /// window is decided by tape position `base + t` of this stream.
-    /// Sentinel thresholds fill constant without drawing. Pure in
+    /// Saturated thresholds fill constant without drawing. Pure in
     /// `(key, base + t)`, so words can be filled independently and in any
     /// order — the one-window form the scalar stochastic engine draws
     /// each cell with.
@@ -427,11 +359,17 @@ impl CounterStream {
     /// # Panics
     /// Panics if `out` is shorter than `⌈len/64⌉` words.
     pub fn sample_bernoulli_words(&self, threshold: u64, base: u64, len: usize, out: &mut [u64]) {
+        self.fill_lane_words(lane_threshold(threshold), base, len, out);
+    }
+
+    /// [`sample_bernoulli_words`](Self::sample_bernoulli_words) at lane
+    /// threshold `t8`.
+    fn fill_lane_words(&self, t8: u16, base: u64, len: usize, out: &mut [u64]) {
         let words = len.div_ceil(64);
         assert!(words <= out.len(), "mask slice too short for {len} bits");
         for (w, slot) in out[..words].iter_mut().enumerate() {
             let bits = (len - w * 64).min(64);
-            *slot = self.bernoulli_word(threshold, base.wrapping_add((w * 64) as u64), bits);
+            *slot = self.lane_word(t8, base.wrapping_add((w * 64) as u64), bits);
         }
     }
 
@@ -445,49 +383,29 @@ impl CounterStream {
         len.next_multiple_of(8) as u64
     }
 
-    /// Samples a batch of Bernoulli bit windows — window `i` (threshold
-    /// `thresholds[i]`, `len` bits) occupies tape positions
-    /// `i · window_stride(len) ..` of this stream and lands at words
-    /// `out[offsets[i] .. offsets[i] + ⌈len/64⌉]` with
+    /// Materializes the windows [`window_counts`](Self::window_counts)
+    /// counts: window `i` (lane threshold `t8[i]`, `len` bits) occupies
+    /// tape positions `i · window_stride(len) ..` of this stream and
+    /// lands at words `out[i·⌈len/64⌉ ..][..⌈len/64⌉]` with
     /// [`sample_bernoulli_words`](Self::sample_bernoulli_words)
-    /// semantics. The flat addressing costs no per-window key
-    /// derivation: one batch of `n` live windows is `n · ⌈len/8⌉` mixes,
-    /// period. Every `(window, bit)` is addressed by
-    /// `(key, i · stride + t)`, so the iteration order is a free choice
-    /// and the result is identical under any schedule.
+    /// semantics. The flat addressing costs no per-window key derivation:
+    /// one batch of `n` live windows is `n · ⌈len/8⌉` mixes, period.
+    /// Every `(window, bit)` is addressed by `(key, i · stride + t)`, so
+    /// the iteration order is a free choice and the result is identical
+    /// under any schedule.
     ///
     /// # Panics
-    /// Panics if `offsets` is shorter than `thresholds` or any window
-    /// would write past `out`.
-    pub fn sample_bernoulli_windows(
-        &self,
-        thresholds: &[u64],
-        offsets: &[usize],
-        len: usize,
-        out: &mut [u64],
-    ) {
+    /// Panics if `out` is shorter than `t8.len() · ⌈len/64⌉` words.
+    pub fn sample_bernoulli_windows(&self, t8: &[u16], len: usize, out: &mut [u64]) {
         let words = len.div_ceil(64);
         assert!(
-            offsets.len() >= thresholds.len(),
-            "offset per window required"
+            out.len() >= t8.len() * words,
+            "word slots per window required"
         );
-        let rem = len % 64;
         let stride = Self::window_stride(len);
-        for (i, (&thr, &off)) in thresholds.iter().zip(offsets).enumerate() {
-            let slot = &mut out[off..off + words];
-            // Sentinel windows fill constant without paying any draws.
-            match thr {
-                BERNOULLI_NEVER => slot.fill(0),
-                BERNOULLI_ALWAYS => {
-                    slot.fill(u64::MAX);
-                    if rem > 0 {
-                        slot[words - 1] = (1u64 << rem) - 1;
-                    }
-                }
-                thr => {
-                    self.sample_bernoulli_words(thr, (i as u64).wrapping_mul(stride), len, slot);
-                }
-            }
+        for (i, &t) in t8.iter().enumerate() {
+            let slot = &mut out[i * words..][..words];
+            self.fill_lane_words(t, (i as u64).wrapping_mul(stride), len, slot);
         }
     }
 }
@@ -495,7 +413,7 @@ impl CounterStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitplane::bernoulli_threshold;
+    use crate::bitplane::{bernoulli_threshold, BERNOULLI_ALWAYS, BERNOULLI_NEVER};
 
     #[test]
     fn draws_are_pure_and_order_free() {
@@ -552,7 +470,7 @@ mod tests {
         let s = CounterStream::from_seed(9).derive(3);
         for &p in &[0.01, 0.3, 0.5, 0.9, 0.999] {
             let thr = bernoulli_threshold(p);
-            let t8 = super::threshold8(thr);
+            let t8 = u64::from(lane_threshold(thr));
             for &(base, bits) in &[(0u64, 64usize), (64, 64), (128, 17), (5, 1), (13, 29)] {
                 let word = s.bernoulli_word(thr, base, bits);
                 for t in 0..64 {
@@ -560,7 +478,7 @@ mod tests {
                         // Bit g: byte lane g mod 8 of draw ⌊g/8⌋.
                         let g = base + t as u64;
                         let z = s.draw(g >> 3);
-                        (((z >> (8 * (g & 7))) & 0xFF) as u32) < t8
+                        ((z >> (8 * (g & 7))) & 0xFF) < t8
                     } else {
                         false // tail bits cleared
                     };
@@ -571,22 +489,66 @@ mod tests {
     }
 
     #[test]
-    fn counts_equal_fill_popcounts() {
-        let s = CounterStream::from_seed(55);
-        for &p in &[0.0, 0.05, 0.5, 0.93, 1.0] {
-            let thr = bernoulli_threshold(p);
-            for &base in &[0u64, 5, 16, 120] {
-                for &len in &[1usize, 16, 64, 130] {
-                    let mut words = vec![0u64; len.div_ceil(64)];
-                    s.sample_bernoulli_words(thr, base, len, &mut words);
-                    let fill: u32 = words.iter().map(|w| w.count_ones()).sum();
-                    assert_eq!(
-                        s.bernoulli_count(thr, base, len),
-                        fill,
-                        "p={p} base={base} len={len}: count must equal the fill's popcount"
-                    );
-                }
+    fn lane_thresholds_saturate_at_both_ends() {
+        for (p, t8) in [
+            (0.0, 0),
+            (1e-4, 0),
+            (0.5, 128),
+            (1.0 - 1e-4, 256),
+            (1.0, 256),
+        ] {
+            assert_eq!(lane_threshold(bernoulli_threshold(p)), t8, "p={p}");
+        }
+        assert_eq!(lane_threshold(BERNOULLI_NEVER), 0);
+        assert_eq!(lane_threshold(BERNOULLI_ALWAYS), 256);
+    }
+
+    /// The count kernel against the popcount of the materialized window,
+    /// over every length shape (ragged, one draw, the straight-line
+    /// 16-cycle block, the draw-loop blocks), batch sizes around the
+    /// 8-window block, saturated and deep-tail thresholds, and whole
+    /// blocks of saturated windows (the draw-skipping branch).
+    #[test]
+    fn window_counts_equal_fill_popcounts() {
+        let s = CounterStream::from_seed(55).derive(2);
+        let saturated = [0.0, 1.0, 1e-4, 1.0 - 1e-4];
+        let mixed = [0.0, 0.03, 1.0, 0.5, 1e-4, 0.71, 1.0 - 1e-4, 0.97, 0.2];
+        let check = |len: usize, n: usize| {
+            let thr: Vec<u64> = (0..n)
+                .map(|i| {
+                    let p = if i < 8 || (32..40).contains(&i) {
+                        saturated[(i + len) % saturated.len()]
+                    } else {
+                        mixed[(i * 5 + len) % mixed.len()]
+                    };
+                    bernoulli_threshold(p)
+                })
+                .collect();
+            let t8: Vec<u16> = thr.iter().map(|&t| lane_threshold(t)).collect();
+            let mut counts = vec![u32::MAX; n];
+            s.window_counts(&t8, len, &mut counts);
+            let stride = CounterStream::window_stride(len);
+            for (i, (&t, &count)) in thr.iter().zip(&counts).enumerate() {
+                let mut words = vec![0u64; len.div_ceil(64)];
+                s.sample_bernoulli_words(t, i as u64 * stride, len, &mut words);
+                let fill: u32 = words.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(count, fill, "len {len}, n {n}, window {i}");
             }
+        };
+        for len in 1..=72 {
+            for n in [1, 5, 8, 9, 16, 23, 64] {
+                check(len, n);
+            }
+        }
+        // Windows at and past one SWAR fold; at 16 · FOLD_DRAWS an unfolded
+        // never-firing window would overflow the 16-bit field sum.
+        for len in [
+            8 * FOLD_DRAWS,
+            8 * FOLD_DRAWS + 8,
+            8 * FOLD_DRAWS + 13,
+            16 * FOLD_DRAWS,
+        ] {
+            check(len, 16);
         }
     }
 
@@ -627,17 +589,16 @@ mod tests {
             .iter()
             .map(|&p| bernoulli_threshold(p))
             .collect();
+        let t8: Vec<u16> = thresholds.iter().map(|&t| lane_threshold(t)).collect();
         let len = 130usize; // 3 words per window
         let words = len.div_ceil(64);
-        // Scattered, permuted offsets: batch order ≠ storage order.
-        let offsets = [2 * words, 0, 4 * words, words, 3 * words];
         let mut batch = vec![0u64; 5 * words];
-        s.sample_bernoulli_windows(&thresholds, &offsets, len, &mut batch);
+        s.sample_bernoulli_windows(&t8, len, &mut batch);
         let stride = CounterStream::window_stride(len);
-        for (i, (&thr, &off)) in thresholds.iter().zip(&offsets).enumerate() {
+        for (i, &thr) in thresholds.iter().enumerate() {
             let mut solo = vec![0u64; words];
             s.sample_bernoulli_words(thr, i as u64 * stride, len, &mut solo);
-            assert_eq!(&batch[off..off + words], &solo[..], "window {i}");
+            assert_eq!(&batch[i * words..][..words], &solo[..], "window {i}");
         }
     }
 }

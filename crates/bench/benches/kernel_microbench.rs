@@ -16,8 +16,10 @@
 //!    (`next_u64` after `next_u64`, one loop-carried dependency per
 //!    draw) vs the keyed [`CounterStream`] (each word a pure function of
 //!    its counter, no chain), plus the counter Bernoulli window fill the
-//!    stochastic engines sample with, on a mixed saturated/live
-//!    threshold table.
+//!    approximate-counter path samples with and the window count kernel
+//!    the exact-counter path draws every cell with
+//!    ([`CounterStream::window_counts`] at L = 16 and L = 32), on one
+//!    mixed saturated/live threshold table.
 //!
 //! The end-to-end benches (`deploy_throughput`, `deploy_conv_throughput`,
 //! `stochastic_throughput`) answer "how fast is the engine"; this one
@@ -27,6 +29,7 @@
 
 use aqfp_device::{DeviceRng, SeedableRng};
 use aqfp_sc::bitplane::{bernoulli_threshold, count_ones_range, lane_counts_w};
+use aqfp_sc::counter::lane_threshold;
 use aqfp_sc::{CounterStream, PackedMatrix, Word, V256};
 use rand::RngCore;
 use std::time::{Duration, Instant};
@@ -163,20 +166,33 @@ fn main() {
     // thresholds like a real gray-zone table.
     let window = 32usize;
     let cells = 1024usize;
-    let thresholds: Vec<u64> = (0..cells)
-        .map(|i| match i % 5 {
-            0 => bernoulli_threshold(0.0),
-            1 => bernoulli_threshold(1.0),
-            _ => bernoulli_threshold(0.05 + 0.9 * (i % 17) as f64 / 17.0),
+    let t8: Vec<u16> = (0..cells)
+        .map(|i| {
+            let p = match i % 5 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => 0.05 + 0.9 * (i % 17) as f64 / 17.0,
+            };
+            lane_threshold(bernoulli_threshold(p))
         })
         .collect();
-    let offsets: Vec<usize> = (0..cells).collect(); // one word per window
     let bern_bits = cells * window;
-    let mut batched_ctr = vec![0u64; cells];
+    let mut batched_ctr = vec![0u64; cells]; // one word per window
     let bern_ctr = ops_per_second(bern_bits, || {
-        stream.sample_bernoulli_windows(&thresholds, &offsets, window, &mut batched_ctr);
+        stream.sample_bernoulli_windows(&t8, window, &mut batched_ctr);
         std::hint::black_box(&batched_ctr);
     });
+    // The exact-counter path's count kernel on the same table: every
+    // window drawn and counted, none materialized.
+    let mut counts = vec![0u32; cells];
+    let mut count_bits = |len: usize| {
+        ops_per_second(cells * len, || {
+            stream.window_counts(&t8, len, &mut counts);
+            std::hint::black_box(&counts);
+        })
+    };
+    let count_l16 = count_bits(16);
+    let count_l32 = count_bits(32);
 
     println!("kernel_microbench: wide-word SIMD datapath hot kernels");
     println!(
@@ -205,6 +221,11 @@ fn main() {
         "bernoulli counter (L={window}): {:>8.1} Mbits/s",
         bern_ctr / 1e6
     );
+    println!(
+        "window counts           : {:>8.1} Mbits/s (L=16)  {:>8.1} Mbits/s (L=32)",
+        count_l16 / 1e6,
+        count_l32 / 1e6
+    );
 
     // Kernel timings are all single-threaded; the shared header records
     // the machine separately from the measurement parallelism.
@@ -218,7 +239,9 @@ fn main() {
          \"gemm_widths_bit_identical\": true,\n  \
          \"xoshiro_chain_words_per_s\": {xoshiro_words:.0},\n  \
          \"counter_stream_words_per_s\": {ctr_words:.0},\n  \
-         \"bernoulli_counter_bits_per_s\": {bern_ctr:.0}\n}}\n",
+         \"bernoulli_counter_bits_per_s\": {bern_ctr:.0},\n  \
+         \"window_counts_l16_bits_per_s\": {count_l16:.0},\n  \
+         \"window_counts_l32_bits_per_s\": {count_l32:.0}\n}}\n",
         superbnn_bench::baseline_header("kernel_microbench", &[("measured_workers", 1)]),
     );
     superbnn_bench::write_baseline("KERNEL_BENCH_OUT", "BENCH_kernels.json", &json);

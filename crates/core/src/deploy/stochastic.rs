@@ -16,18 +16,19 @@
 //!    per-element multiply loops.
 //! 2. **Flip-probability tables** — every `(tile, column)` cell's
 //!    gray-zone law is evaluated **once per operating condition** over all
-//!    integer sums it can produce, quantized into Bernoulli draw
-//!    thresholds ([`aqfp_sc::bitplane::bernoulli_threshold`]). Per-trial
+//!    integer sums it can produce, quantized into byte-lane draw
+//!    thresholds ([`aqfp_sc::counter::lane_threshold`]). Per-trial
 //!    [`VariationModel`] state (gray-zone width scale, attenuation delta,
 //!    temperature drift) enters here: the tables are built from the
 //!    *effective* width and unit currents while the programmed thresholds
 //!    stay at their calibration-time values.
 //! 3. **Counter-keyed Bernoulli windows** — each cell's `L`-cycle
 //!    observation window is drawn from a keyed counter stream
-//!    ([`aqfp_sc::CounterStream`]); APC accumulation reduces to window
-//!    popcounts taken straight out of the generator (exact counter) or a
-//!    cycle-transposed walk of the materialized windows (approximate
-//!    counter).
+//!    ([`aqfp_sc::CounterStream`]). The exact counter consumes only each
+//!    window's '1' count, so every cell of a matrix — live, saturated or
+//!    dead — is counted straight out of the generator in one call
+//!    ([`aqfp_sc::CounterStream::window_counts`]); the approximate
+//!    counter materializes the windows and walks them cycle by cycle.
 //!
 //! # One sampler, shared with the scalar reference
 //!
@@ -53,13 +54,13 @@
 //! inside the sampling noise, and the payoff is an 8× draw-rate win plus
 //! a branch-free SWAR byte-compare counter. A whole batch of windows
 //! lives on one flat decision tape (window `i` starts at draw-aligned bit
-//! `i · ⌈L/8⌉·8`), so the fused exact-counter path batch-counts every
-//! unsaturated cell of a matrix in a single vectorizable sweep
-//! ([`aqfp_sc::CounterStream::bernoulli_windows_counts`]) after a
-//! branchless scan splits cells into saturated constants (prefix/suffix
-//! cutoffs precomputed per sub-table in [`MatrixStochasticTables`]) and a
-//! compacted live list. Dead columns pin their window to the stuck
-//! constant without drawing.
+//! `i · ⌈L/8⌉·8`), and the byte-lane threshold `t8 ∈ 0..=256` decides
+//! saturated cells exactly (`0` counts no '1', `256` counts `L`), so the
+//! exact-counter path needs no screening: it gathers every cell's `t8`
+//! from [`MatrixStochasticTables`], pins dead columns to their stuck
+//! constant (`0` or `256`) with a select, and counts all cells in one
+//! vectorized sweep: drawing a saturated cell costs a few lanes of a
+//! vector mix, less than a per-cell screen that skips it would.
 //!
 //! In the gray-zone → 0 limit (`VariationModel` width scale 0) every
 //! table entry saturates and the engine degenerates to the digital
@@ -71,8 +72,8 @@ use super::pipeline::{PackedConvStage, PackedLayer};
 use super::PackedModel;
 use aqfp_device::{Bit, GrayZone, VariationModel};
 use aqfp_sc::accumulate::CounterKind;
-use aqfp_sc::bitplane::{bernoulli_threshold, packed_im2col, BERNOULLI_ALWAYS, BERNOULLI_NEVER};
-use aqfp_sc::counter::{counter_always, counter_never};
+use aqfp_sc::bitplane::{bernoulli_threshold, packed_im2col};
+use aqfp_sc::counter::lane_threshold;
 use aqfp_sc::{Apc, BitPlane, CounterStream, PackedMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -89,30 +90,24 @@ pub enum RngMode {
     Counter,
 }
 
-/// The per-cell Bernoulli draw thresholds of one [`PackedTiledMatrix`] at
+/// The per-cell byte-lane draw thresholds of one [`PackedTiledMatrix`] at
 /// one operating condition, indexed by XNOR match count: entry
-/// `(channel, tile, matches)` is the quantized probability that the
-/// tile's neuron reads '1' for that integer sum, with the draw-free
-/// sentinels of [`aqfp_sc::bitplane::bernoulli_threshold`] marking
-/// saturated cells. Built by [`PackedTiledMatrix::stochastic_tables`].
+/// `(channel, tile, matches)` is the tile neuron's probability of reading
+/// '1' for that integer sum, quantized to the counter law's lane
+/// threshold `t8 ∈ 0..=256` ([`aqfp_sc::counter::lane_threshold`]): `0`
+/// never fires, `256` always fires, anything else is `round(p·2⁸)`.
+/// Saturated cells need no marking — the count kernel decides them
+/// exactly. Built by [`PackedTiledMatrix::stochastic_tables`].
 #[derive(Debug, Clone)]
 pub struct MatrixStochasticTables {
-    /// `[out × stride]` channel-major thresholds; a channel's slice is
-    /// indexed `base[r] + matches`.
-    thr: Vec<u64>,
-    /// `k + 1` prefix offsets (tile `r`'s sub-table spans
-    /// `base[r]..base[r] + tile_rows(r) + 1`; `base[k]` is the entries
-    /// per channel — the `thr` channel stride).
-    base: Vec<usize>,
+    /// The sub-tables of every cell, back to back in channel-major cell
+    /// order; cell `i`'s entry for a match count is `t8[offs[i] + matches]`.
+    t8: Vec<u16>,
+    /// `out·k + 1` prefix offsets: cell `i = channel·k + tile` spans
+    /// `offs[i]..offs[i + 1]`, `tile_rows(tile) + 1` entries.
+    offs: Vec<usize>,
     /// Output channels the tables were built for.
     out: usize,
-    /// `[out × k]` channel-major per-cell saturation cutoffs, packed
-    /// `lo | hi << 16`: match counts below `lo` read a draw-free constant
-    /// '0' (that whole sub-table prefix is [`BERNOULLI_NEVER`]) and counts
-    /// at or above `hi` read a draw-free '1'. The fused exact-counter path
-    /// resolves saturated cells from these two compares alone, without a
-    /// dependent load into the (much larger) threshold table.
-    sat: Vec<u32>,
 }
 
 impl MatrixStochasticTables {
@@ -128,16 +123,11 @@ impl MatrixStochasticTables {
         .with_variation(vm);
         let width = varied.grayzone_ua;
         let attenuation = varied.attenuation;
-        let mut base = Vec::with_capacity(k + 1);
-        let mut stride = 0usize;
-        for r in 0..k {
-            base.push(stride);
-            stride += m.tile_rows(r) + 1;
-        }
-        base.push(stride);
-        let mut thr = Vec::with_capacity(m.out() * stride);
+        let mut t8 = Vec::new();
+        let mut offs = Vec::with_capacity(m.out() * k + 1);
         for c in 0..m.out() {
             for r in 0..k {
+                offs.push(t8.len());
                 let rows = m.tile_rows(r);
                 // The drifted unit current and gray-zone width; the
                 // programmed threshold stays where calibration put it —
@@ -152,41 +142,24 @@ impl MatrixStochasticTables {
                 };
                 for matches in 0..=rows {
                     let sum = 2 * matches as i64 - rows as i64;
-                    thr.push(bernoulli_threshold(law.probability_one(sum as f64 * i1)));
+                    let p = law.probability_one(sum as f64 * i1);
+                    t8.push(lane_threshold(bernoulli_threshold(p)));
                 }
             }
         }
-        // Saturation cutoffs under the counter law: the gray-zone law is
-        // monotone in the match count, so each cell's sub-table is a
-        // never-fires prefix, a live band, and an always-fires suffix —
-        // record the two band edges. The predicates are the byte-lane
-        // quantized ones ([`counter_never`]/[`counter_always`]), which
-        // also classify deep-tail probabilities (`0 < p < 2⁻⁹` and its
-        // mirror) as certainly-constant: skipping their draws reproduces
-        // the sampler's output bit-for-bit, because no byte lane can land
-        // below (resp. at or above) such a threshold. (Computed from the
-        // table itself, so a non-monotone law would only cost
-        // performance, never correctness.)
-        let mut sat = Vec::with_capacity(m.out() * k);
-        for c in 0..m.out() {
-            for r in 0..k {
-                let row = &thr[c * stride + base[r]..][..m.tile_rows(r) + 1];
-                let lo = row.iter().take_while(|&&t| counter_never(t)).count();
-                let hi = row.len() - row.iter().rev().take_while(|&&t| counter_always(t)).count();
-                sat.push(lo as u32 | (hi as u32) << 16);
-            }
-        }
+        offs.push(t8.len());
         Self {
-            thr,
-            base,
+            t8,
+            offs,
             out: m.out(),
-            sat,
         }
     }
 
     fn check(&self, m: &PackedTiledMatrix) {
-        let tiles_match = self.base.len() == m.row_tiles() + 1
-            && (0..m.row_tiles()).all(|r| self.base[r + 1] - self.base[r] == m.tile_rows(r) + 1);
+        let k = m.row_tiles();
+        let tiles_match = self.offs.len() == m.out() * k + 1
+            && (self.offs.windows(2).enumerate())
+                .all(|(i, w)| w[1] - w[0] == m.tile_rows(i % k) + 1);
         assert!(
             self.out == m.out() && tiles_match,
             "stochastic tables were built for a different matrix geometry"
@@ -195,27 +168,25 @@ impl MatrixStochasticTables {
 }
 
 /// Reusable per-evaluation buffers of the stochastic engine (tile match
-/// counts, packed observation streams, the APC's cycle word).
+/// counts, per-cell lane thresholds and window counts, packed observation
+/// streams, the APC's cycle word).
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     matches: Vec<u32>,
+    t8: Vec<u16>,
+    counts: Vec<u32>,
     streams: Vec<u64>,
     word: Vec<Bit>,
     cur: Vec<u64>,
-    thrs: Vec<u64>,
-    offs: Vec<usize>,
-    counts: Vec<u32>,
-    totals: Vec<u64>,
-    starts: Vec<u32>,
 }
 
 /// Evaluates one packed activation word slice through the stochastic
 /// datapath of `m`, reporting each channel's output bit through `sink`:
 /// every cell's observation window lives on `stream`'s flat decision tape
 /// at window index `channel·k + tile` (see
-/// [`aqfp_sc::CounterStream::sample_bernoulli_windows`]), so the windows
-/// are pure functions of their coordinates — no draw order, no serial
-/// chain. Dead columns pin their threshold to the stuck constant.
+/// [`aqfp_sc::CounterStream::window_counts`]), so the windows are pure
+/// functions of their coordinates — no draw order, no serial chain. Dead
+/// columns pin their lane threshold to the stuck constant.
 ///
 /// Callers must have validated `tables` against `m` with
 /// [`MatrixStochasticTables::check`] — hoisted out of this (per-pixel)
@@ -231,91 +202,30 @@ fn eval_channels_ctr(
     let k = m.row_tiles();
     let out = m.out();
     let window = m.window();
-    let stream_words = window.div_ceil(64);
 
     scratch.matches.resize(out * k, 0);
     m.matches_into(acts, &mut scratch.matches);
 
-    let stride = tables.base[k];
+    // Window `i` of the batch IS cell `i = channel·k + tile`, so its lane
+    // threshold is gathered in natural cell order. A dead column (1 stuck
+    // '0', 2 stuck '1') pins its window by a select, not a branch.
+    scratch.t8.resize(out * k, 0);
+    let cells = scratch.t8.iter_mut().zip(&tables.offs);
+    for ((t8, &off), (&matches, &d)) in cells.zip(scratch.matches.iter().zip(m.dead_cells())) {
+        let live = tables.t8[off + matches as usize];
+        *t8 = if d == 0 { live } else { u16::from(d - 1) << 8 };
+    }
+
     let half = (k * window) as u64; // doubled threshold, like the scalar module
-
-    // The threshold of cell `(c, r)` in natural channel-major cell order:
-    // window `i` of the batch IS cell `i = channel·k + tile`, so the
-    // cell's tape position is the cell index times the window stride. A
-    // dead column pins the window at the source.
-    let cell_thr = |c: usize, r: usize, matches: u32| match m.dead_override(c, r) {
-        Some(b) => {
-            if b.as_bool() {
-                BERNOULLI_ALWAYS
-            } else {
-                BERNOULLI_NEVER
-            }
-        }
-        None => tables.thr[c * stride + tables.base[r] + matches as usize],
-    };
-
     if matches!(m.counter(), CounterKind::Exact) {
-        // Fused gather → sample → accumulate: the exact APC only consumes
-        // each window's popcount, so saturated cells contribute their
-        // constant for free and live windows are counted straight out of
-        // the generator — no stream buffer, no second pass.
-        //
-        // Three phases. Phase one is a fully branchless scan of all
-        // cells: saturated contributions accumulate per channel by
-        // masked add, and live cells compact into one dense matrix-wide
-        // (threshold, window index) list by the
-        // store-always/advance-conditionally idiom — keeping the
-        // generator call OUT of this loop is what lets it stay a handful
-        // of straight-line ops per cell (a conditional call in the scan
-        // costs several times the whole scan, even when never taken).
-        // Phase two hands the whole live list to the sentinel-free batch
-        // counter in one call, so the generator runs over thousands of
-        // independent windows back to back and vectorizes. Phase three
-        // folds each channel's live counts into its saturated total and
-        // votes. No per-cell branch anywhere, so the mixed
-        // live/saturated cell pattern of a mid-gray-zone workload cannot
-        // mispredict.
-        let dead = m.dead_cells();
-        let base = &tables.base[..k];
-        scratch.thrs.resize(out * k, 0);
-        scratch.offs.resize(out * k, 0);
+        // The exact APC only consumes each window's popcount: count every
+        // cell straight out of the generator, then sum and vote per
+        // channel.
         scratch.counts.resize(out * k, 0);
-        scratch.totals.resize(out, 0);
-        scratch.starts.resize(out + 1, 0);
-        let mut live = 0usize;
-        for c in 0..out {
-            scratch.starts[c] = live as u32;
-            let mrow = &scratch.matches[c * k..][..k];
-            let drow = &dead[c * k..][..k];
-            let srow = &tables.sat[c * k..][..k];
-            let trow = &tables.thr[c * stride..][..stride];
-            let mut total = 0u64;
-            for r in 0..k {
-                let matches = mrow[r];
-                let (d, s) = (drow[r], srow[r]);
-                let (lo, hi) = (s & 0xFFFF, s >> 16);
-                let one = (d == 2) | ((d == 0) & (matches >= hi));
-                total += one as u64 * window as u64;
-                // The threshold load is unconditional (always in range:
-                // matches ≤ tile_rows(r)), as is the compaction store —
-                // only the cursor advance depends on liveness.
-                scratch.thrs[live] = trow[base[r] + matches as usize];
-                scratch.offs[live] = c * k + r;
-                live += ((d == 0) & (matches >= lo) & (matches < hi)) as usize;
-            }
-            scratch.totals[c] = total;
-        }
-        scratch.starts[out] = live as u32;
-        stream.bernoulli_windows_counts(
-            &scratch.thrs[..live],
-            &scratch.offs[..live],
-            window,
-            &mut scratch.counts[..live],
-        );
-        for (c, &flip) in m.flips().iter().enumerate() {
-            let (s, e) = (scratch.starts[c] as usize, scratch.starts[c + 1] as usize);
-            let drawn: u64 = scratch.counts[s..e].iter().map(|&x| u64::from(x)).sum();
-            sink(c, (2 * (scratch.totals[c] + drawn) >= half) != flip);
+        stream.window_counts(&scratch.t8, window, &mut scratch.counts);
+        for (c, (counts, &flip)) in scratch.counts.chunks_exact(k).zip(m.flips()).enumerate() {
+            let total: u64 = counts.iter().map(|&x| u64::from(x)).sum();
+            sink(c, (2 * total >= half) != flip);
         }
         return;
     }
@@ -323,17 +233,9 @@ fn eval_channels_ctr(
     // Approximate APC: its counting error depends on the bit pattern
     // *across* tiles per cycle, so materialize every window, transpose the
     // packed streams back into cycle words and mirror the scalar count.
+    let stream_words = window.div_ceil(64);
     scratch.streams.resize(out * k * stream_words, 0);
-    scratch.thrs.clear();
-    scratch.offs.clear();
-    for c in 0..out {
-        for r in 0..k {
-            let idx = c * k + r;
-            scratch.thrs.push(cell_thr(c, r, scratch.matches[idx]));
-            scratch.offs.push(idx * stream_words);
-        }
-    }
-    stream.sample_bernoulli_windows(&scratch.thrs, &scratch.offs, window, &mut scratch.streams);
+    stream.sample_bernoulli_windows(&scratch.t8, window, &mut scratch.streams);
     let apc = Apc::new(k);
     scratch.word.resize(k, Bit::Zero);
     for c in 0..out {
@@ -355,7 +257,7 @@ impl PackedTiledMatrix {
     /// XNOR match count it can produce, the gray-zone probability of the
     /// merged current (at the variation's effective gray-zone width and
     /// drifted unit currents, against the *programmed* threshold) is
-    /// quantized into a Bernoulli draw threshold. Faults never invalidate
+    /// quantized into a byte-lane draw threshold. Faults never invalidate
     /// the tables — stuck cells only move which entry is looked up, and
     /// dead columns are handled at evaluation time — so one table set
     /// serves every trial of a Monte Carlo campaign at the same operating
@@ -737,8 +639,8 @@ mod tests {
     }
 
     /// In the gray-zone → 0 limit the packed engine also collapses onto
-    /// the digital decision rule: saturated tables pin every window, so no
-    /// counter draws happen at all.
+    /// the digital decision rule: saturated tables pin every window to a
+    /// constant, whatever the stream draws.
     #[test]
     fn counter_zero_width_limit_is_the_digital_engine() {
         let h = hw(8, 8, 2.4, 8);

@@ -27,8 +27,9 @@
 //!
 //! The stochastic engine is checked in its **digital limit**: tables
 //! built at gray-zone width 0 ([`VariationModel`] scale 0) make every
-//! Bernoulli window saturate, so no window draws from its counter stream
-//! and the datapath must collapse to the digital decision rule exactly.
+//! Bernoulli window saturate, so every window reads a constant whatever
+//! its counter stream draws, and the datapath must collapse to the
+//! digital decision rule exactly.
 //!
 //! A fifth axis, [`Engine::PackedDelta`], covers the event-driven
 //! fault-cone engine ([`crate::deploy::delta`]): fault-free it collapses
@@ -69,7 +70,7 @@ pub enum Engine {
     /// (`PackedTiledMatrix::forward_matrix_as`).
     PackedSimd,
     /// The packed stochastic datapath evaluated in its digital limit
-    /// (gray-zone width 0: saturated flip tables, no RNG draws).
+    /// (gray-zone width 0: saturated flip tables, constant windows).
     StochasticLimit,
     /// The event-driven fault-cone splice (see [`crate::deploy::delta`]):
     /// a clean forward plus a per-channel re-vote of the fault's dirtied

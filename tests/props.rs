@@ -1094,3 +1094,61 @@ fn packed_stochastic_matches_scalar_with_approximate_counter() {
         );
     }
 }
+
+/// Scalar ≡ packed stochastic at the benchmark die's shape: a VGG-Small
+/// conv pipeline on 32×32 crossbars with the Monte Carlo campaigns'
+/// widened 4 µA gray zone, at the default 16-cycle window and at L = 32
+/// (the exact counter's straight-line block and its draw loop), with the
+/// same stuck cells and dead columns drawn into both engines.
+#[test]
+fn packed_stochastic_vgg_matches_scalar_at_benchmark_shape() {
+    use aqfp_device::{DeviceRng, SeedableRng};
+    let spec = NetSpec::vgg_small([3, 16, 16], 4, 10);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EB);
+    let images = bnn_nn::Tensor::from_vec(
+        &[4, 3, 16, 16],
+        (0..4 * 3 * 16 * 16)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect(),
+    );
+    let fm = FaultModel::new(0.05, 0.005).unwrap();
+    for window in [16, 32] {
+        let hw = HardwareConfig {
+            crossbar_rows: 32,
+            crossbar_cols: 32,
+            grayzone_ua: 4.0,
+            bitstream_len: window,
+            ..Default::default()
+        };
+        let model = spec.build_software(&hw, 9);
+        let mut scalar = deploy(&spec, &model, &hw).unwrap();
+        let defects = scalar.inject_faults(&fm, &mut DeviceRng::seed_from_u64(0xFA17));
+        let mut packed = deploy(&spec, &model, &hw).unwrap().to_packed();
+        assert_eq!(
+            packed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(0xFA17)),
+            defects
+        );
+        let dead = packed
+            .layers()
+            .iter()
+            .filter_map(PackedLayer::matrix)
+            .map(|m| {
+                (0..m.out())
+                    .flat_map(|c| (0..m.row_tiles()).map(move |r| (c, r)))
+                    .filter(|&(c, r)| m.dead_override(c, r).is_some())
+                    .count()
+            })
+            .sum::<usize>();
+        assert!(dead > 0, "the draw must pin some dead columns");
+        let tables = packed.stochastic_tables(&aqfp_device::VariationModel::nominal());
+        let root = CounterStream::from_seed(window as u64);
+        for (i, plane) in planes_of(&images).iter().enumerate() {
+            let stream = root.derive(i as u64);
+            assert_eq!(
+                packed.classify_stochastic_plane_ctr(&tables, plane, &stream),
+                scalar.classify(&images, i, &stream),
+                "L {window}, sample {i}"
+            );
+        }
+    }
+}
