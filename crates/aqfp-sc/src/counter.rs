@@ -57,7 +57,10 @@
 //! costs exactly `⌈L/8⌉` mixes and no per-window key derivation.
 //! [`CounterStream::window_counts`] counts the '1's of a whole batch
 //! without materializing it — every window, saturated or not, through one
-//! branch-free SWAR compare, eight windows per block — and
+//! branch-free SWAR compare, eight windows per block;
+//! [`CounterStream::window_counts_across`] counts the same window of many
+//! streams through the same block routine, eight streams per block (one
+//! crossbar cell over a block of conv output pixels); and
 //! [`CounterStream::sample_bernoulli_windows`] materializes the batch for
 //! consumers that need the bits themselves. The stream *tree*
 //! ([`CounterStream::derive`]) addresses coarser coordinates — sample,
@@ -140,6 +143,59 @@ fn low_mask(bits: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << bits) - 1
+    }
+}
+
+/// Whether windows of `len` decisions run the eight-window block routine
+/// ([`count_block8`]): whole draws, few enough for one SWAR fold.
+#[inline]
+fn whole_draw_blocks(len: usize) -> bool {
+    len.is_multiple_of(8) && len / 8 <= FOLD_DRAWS
+}
+
+/// Counts eight whole-draw windows of `draws ≤ FOLD_DRAWS` draws each:
+/// window `j` reads the draws at Weyl positions `base + offsets[j] + d·γ`,
+/// `d ∈ 0..draws`, against lane threshold `t8[j]`, and its '1' count lands
+/// in `out[j]`. Straight-line elementwise arithmetic over independent
+/// draws, which the compiler turns into vector mixes; a block whose eight
+/// windows are all saturated skips its draws. The one block routine of
+/// both [`CounterStream::window_counts`] (eight windows of one stream)
+/// and [`CounterStream::window_counts_across`] (one window of eight
+/// streams).
+#[inline(always)]
+fn count_block8(base: u64, offsets: &[u64; 8], t8: &[u16], draws: usize, out: &mut [u32]) {
+    let (t8, out): (&[u16; 8], &mut [u32; 8]) = (
+        t8.try_into().expect("eight thresholds per block"),
+        out.try_into().expect("eight counts per block"),
+    );
+    let len = (draws * 8) as u32;
+    if t8.iter().fold(0, |acc, &t| acc | t) & 0xFF == 0 {
+        for (o, &t) in out.iter_mut().zip(t8) {
+            *o = u32::from(t >> 8) * len;
+        }
+        return;
+    }
+    if draws == 2 {
+        // The default 16-cycle window: two draws per window, no inner
+        // loop.
+        for j in 0..8 {
+            let c = lane_addend(t8[j]);
+            let k = base.wrapping_add(offsets[j]);
+            let ge = lanes_ge(mix64(k), c) + lanes_ge(mix64(k.wrapping_add(GOLDEN_GAMMA)), c);
+            out[j] = 16 - fold_fields(ge);
+        }
+    } else {
+        let c: [u64; 8] = std::array::from_fn(|j| lane_addend(t8[j]));
+        let mut ge = [0u64; 8];
+        for d in 0..draws {
+            let kd = base.wrapping_add((d as u64).wrapping_mul(GOLDEN_GAMMA));
+            for j in 0..8 {
+                ge[j] += lanes_ge(mix64(kd.wrapping_add(offsets[j])), c[j]);
+            }
+        }
+        for j in 0..8 {
+            out[j] = len - fold_fields(ge[j]);
+        }
     }
 }
 
@@ -283,69 +339,94 @@ impl CounterStream {
     pub fn window_counts(&self, t8: &[u16], len: usize, out: &mut [u32]) {
         let n = t8.len();
         assert!(out.len() >= n, "count slot per window required");
-        let (draws, tail) = (len / 8, len % 8);
+        let draws = len / 8;
         let mut done = 0;
-        if tail == 0 && draws <= FOLD_DRAWS {
+        if whole_draw_blocks(len) {
             let lane_keys: [u64; 8] =
                 std::array::from_fn(|j| ((j * draws) as u64).wrapping_mul(GOLDEN_GAMMA));
             for (b, (tc, oc)) in t8.chunks_exact(8).zip(out.chunks_exact_mut(8)).enumerate() {
-                if tc.iter().fold(0, |acc, &t| acc | t) & 0xFF == 0 {
-                    for (o, &t) in oc.iter_mut().zip(tc) {
-                        *o = u32::from(t >> 8) * len as u32;
-                    }
-                    continue;
-                }
                 let key = self
                     .key
                     .wrapping_add(((b * 8 * draws) as u64).wrapping_mul(GOLDEN_GAMMA));
-                if draws == 2 {
-                    // The default 16-cycle window: two draws per window,
-                    // no inner loop.
-                    for j in 0..8 {
-                        let c = lane_addend(tc[j]);
-                        let k = key.wrapping_add(lane_keys[j]);
-                        let ge = lanes_ge(mix64(k), c)
-                            + lanes_ge(mix64(k.wrapping_add(GOLDEN_GAMMA)), c);
-                        oc[j] = 16 - fold_fields(ge);
-                    }
-                } else {
-                    let c: [u64; 8] = std::array::from_fn(|j| lane_addend(tc[j]));
-                    let mut ge = [0u64; 8];
-                    for d in 0..draws {
-                        let kd = key.wrapping_add((d as u64).wrapping_mul(GOLDEN_GAMMA));
-                        for j in 0..8 {
-                            ge[j] += lanes_ge(mix64(kd.wrapping_add(lane_keys[j])), c[j]);
-                        }
-                    }
-                    for j in 0..8 {
-                        oc[j] = len as u32 - fold_fields(ge[j]);
-                    }
-                }
+                count_block8(key, &lane_keys, tc, draws, oc);
             }
             done = n - n % 8;
         }
         let stride = Self::window_stride(len);
         for i in done..n {
-            let t = t8[i];
-            let c = lane_addend(t);
-            let d0 = (i as u64).wrapping_mul(stride) >> 3;
-            let mut count = 0u32;
-            let mut d = 0usize;
-            while d < draws {
-                let stop = draws.min(d + FOLD_DRAWS);
-                let mut ge = 0u64;
-                for dd in d..stop {
-                    ge += lanes_ge(self.draw(d0 + dd as u64), c);
-                }
-                count += ((stop - d) * 8) as u32 - fold_fields(ge);
-                d = stop;
-            }
-            if tail > 0 {
-                let z = self.draw(d0 + draws as u64);
-                count += (byte_lt_mask(z, t) & low_mask(tail)).count_ones();
-            }
-            out[i] = count;
+            out[i] = self.count_window((i as u64).wrapping_mul(stride) >> 3, t8[i], len);
         }
+    }
+
+    /// Counts window `window` of every stream in `streams` against its own
+    /// lane threshold: `out[i]` receives the '1' count of the `len`
+    /// decisions at tape position `window · window_stride(len)` of
+    /// `streams[i]` against `t8[i]` — exactly what
+    /// [`window_counts`](Self::window_counts) on `streams[i]` reports for
+    /// its window `window`.
+    ///
+    /// This is the cross-stream form the stochastic engine's conv stages
+    /// count with: one crossbar cell over a block of output pixels, each
+    /// pixel its own child stream. Whole-draw lengths run the same
+    /// eight-window block routine as `window_counts`, eight streams per
+    /// block (a block of eight saturated windows skips its draws); ragged
+    /// lengths and the last `n mod 8` streams are counted one window at a
+    /// time.
+    ///
+    /// # Panics
+    /// Panics if `t8` or `out` is shorter than `streams`.
+    pub fn window_counts_across(
+        streams: &[CounterStream],
+        window: usize,
+        t8: &[u16],
+        len: usize,
+        out: &mut [u32],
+    ) {
+        let n = streams.len();
+        assert!(
+            t8.len() >= n && out.len() >= n,
+            "a threshold and a count slot per stream required"
+        );
+        let d0 = (window as u64).wrapping_mul(Self::window_stride(len)) >> 3;
+        let mut done = 0;
+        if whole_draw_blocks(len) {
+            let offset = d0.wrapping_mul(GOLDEN_GAMMA);
+            let blocks = streams.chunks_exact(8).zip(t8.chunks_exact(8));
+            for ((sc, tc), oc) in blocks.zip(out.chunks_exact_mut(8)) {
+                let keys: [u64; 8] = std::array::from_fn(|j| sc[j].key);
+                count_block8(offset, &keys, tc, len / 8, oc);
+            }
+            done = n - n % 8;
+        }
+        for i in done..n {
+            out[i] = streams[i].count_window(d0, t8[i], len);
+        }
+    }
+
+    /// The '1' count of one window of `len` decisions starting at draw
+    /// `d0` against lane threshold `t`, one draw at a time: whole draws
+    /// fold their SWAR field sums every [`FOLD_DRAWS`] draws, and a ragged
+    /// tail reads the low lanes of one more draw.
+    #[inline]
+    fn count_window(&self, d0: u64, t: u16, len: usize) -> u32 {
+        let (draws, tail) = (len / 8, len % 8);
+        let c = lane_addend(t);
+        let mut count = 0u32;
+        let mut d = 0usize;
+        while d < draws {
+            let stop = draws.min(d + FOLD_DRAWS);
+            let mut ge = 0u64;
+            for dd in d..stop {
+                ge += lanes_ge(self.draw(d0 + dd as u64), c);
+            }
+            count += ((stop - d) * 8) as u32 - fold_fields(ge);
+            d = stop;
+        }
+        if tail > 0 {
+            let z = self.draw(d0 + draws as u64);
+            count += (byte_lt_mask(z, t) & low_mask(tail)).count_ones();
+        }
+        count
     }
 
     /// Samples `len` i.i.d. Bernoulli bits into a packed word slice
@@ -549,6 +630,46 @@ mod tests {
             16 * FOLD_DRAWS,
         ] {
             check(len, 16);
+        }
+    }
+
+    /// The cross-stream count kernel against per-stream `window_counts`:
+    /// stream counts around the 8-stream block (a ragged last block
+    /// included), every length shape up to 72 plus lengths at and past
+    /// one SWAR fold, several window indices, saturated and deep-tail
+    /// thresholds, and whole blocks of saturated streams (the
+    /// draw-skipping branch).
+    #[test]
+    fn window_counts_across_equal_per_stream_counts() {
+        let root = CounterStream::from_seed(71).derive(4);
+        let saturated = [0.0, 1.0, 1e-4, 1.0 - 1e-4];
+        let mixed = [0.0, 0.03, 1.0, 0.5, 1e-4, 0.71, 1.0 - 1e-4, 0.97, 0.2];
+        let check = |len: usize, n: usize| {
+            let streams: Vec<CounterStream> = (0..n as u64).map(|i| root.derive(i)).collect();
+            for window in [0, 3, 13] {
+                let t8: Vec<u16> = (0..n)
+                    .map(|i| {
+                        let p = if i < 8 || (32..40).contains(&i) {
+                            saturated[(i + len + window) % saturated.len()]
+                        } else {
+                            mixed[(i * 5 + len + window) % mixed.len()]
+                        };
+                        lane_threshold(bernoulli_threshold(p))
+                    })
+                    .collect();
+                let mut counts = vec![u32::MAX; n];
+                CounterStream::window_counts_across(&streams, window, &t8, len, &mut counts);
+                for (i, (s, &t)) in streams.iter().zip(&t8).enumerate() {
+                    let mut solo = vec![u32::MAX; window + 1];
+                    s.window_counts(&vec![t; window + 1], len, &mut solo);
+                    assert_eq!(counts[i], solo[window], "len {len}, n {n}, window {window}");
+                }
+            }
+        };
+        for len in (1..=72).chain([8 * FOLD_DRAWS, 8 * FOLD_DRAWS + 8, 16 * FOLD_DRAWS]) {
+            for n in [1, 2, 7, 8, 9, 64, 65] {
+                check(len, n);
+            }
         }
     }
 

@@ -19,7 +19,11 @@
 //!    approximate-counter path samples with and the window count kernel
 //!    the exact-counter path draws every cell with
 //!    ([`CounterStream::window_counts`] at L = 16 and L = 32), on one
-//!    mixed saturated/live threshold table.
+//!    mixed saturated/live threshold table; and the conv path's
+//!    cross-stream count kernel ([`CounterStream::window_counts_across`], one
+//!    cell's window over 64 pixel streams) on the same table as 16 cells
+//!    × 64 streams, asserted equal to the per-stream kernel before
+//!    timing.
 //!
 //! The end-to-end benches (`deploy_throughput`, `deploy_conv_throughput`,
 //! `stochastic_throughput`) answer "how fast is the engine"; this one
@@ -193,6 +197,39 @@ fn main() {
     };
     let count_l16 = count_bits(16);
     let count_l32 = count_bits(32);
+    // The conv path's cross-stream count kernel on the same table laid
+    // out cell-major over a pixel block: 16 cells × 64 pixel streams, each
+    // cell's window counted across the streams. Checked against the
+    // per-stream kernel before timing.
+    let (pixels, block_cells) = (64usize, cells / 64);
+    let pixel_streams: Vec<CounterStream> = (0..pixels as u64).map(|i| stream.derive(i)).collect();
+    let across = |len: usize, counts: &mut [u32]| {
+        let runs = t8.chunks_exact(pixels).zip(counts.chunks_exact_mut(pixels));
+        for (cell, (t, c)) in runs.enumerate() {
+            CounterStream::window_counts_across(&pixel_streams, cell, t, len, c);
+        }
+    };
+    for len in [16, 32] {
+        across(len, &mut counts);
+        for (p, s) in pixel_streams.iter().enumerate() {
+            let pixel_t8: Vec<u16> = t8.iter().skip(p).step_by(pixels).copied().collect();
+            let mut solo = vec![0u32; block_cells];
+            s.window_counts(&pixel_t8, len, &mut solo);
+            let got: Vec<u32> = counts.iter().skip(p).step_by(pixels).copied().collect();
+            assert_eq!(
+                got, solo,
+                "cross-stream counts diverged (L={len}, pixel {p})"
+            );
+        }
+    }
+    let mut across_bits = |len: usize| {
+        ops_per_second(cells * len, || {
+            across(len, &mut counts);
+            std::hint::black_box(&counts);
+        })
+    };
+    let across_l16 = across_bits(16);
+    let across_l32 = across_bits(32);
 
     println!("kernel_microbench: wide-word SIMD datapath hot kernels");
     println!(
@@ -226,6 +263,11 @@ fn main() {
         count_l16 / 1e6,
         count_l32 / 1e6
     );
+    println!(
+        "window counts across    : {:>8.1} Mbits/s (L=16)  {:>8.1} Mbits/s (L=32)",
+        across_l16 / 1e6,
+        across_l32 / 1e6
+    );
 
     // Kernel timings are all single-threaded; the shared header records
     // the machine separately from the measurement parallelism.
@@ -241,7 +283,9 @@ fn main() {
          \"counter_stream_words_per_s\": {ctr_words:.0},\n  \
          \"bernoulli_counter_bits_per_s\": {bern_ctr:.0},\n  \
          \"window_counts_l16_bits_per_s\": {count_l16:.0},\n  \
-         \"window_counts_l32_bits_per_s\": {count_l32:.0}\n}}\n",
+         \"window_counts_l32_bits_per_s\": {count_l32:.0},\n  \
+         \"window_counts_across_l16_bits_per_s\": {across_l16:.0},\n  \
+         \"window_counts_across_l32_bits_per_s\": {across_l32:.0}\n}}\n",
         superbnn_bench::baseline_header("kernel_microbench", &[("measured_workers", 1)]),
     );
     superbnn_bench::write_baseline("KERNEL_BENCH_OUT", "BENCH_kernels.json", &json);

@@ -512,12 +512,14 @@ impl PackedTiledMatrix {
     /// `matches ∈ 0..=tile_rows(r)`; the tile's signed partial sum is
     /// `2·matches − tile_rows(r)`).
     ///
-    /// This is the counting stage of the stochastic engine: where the
-    /// digital vote kernel ([`Self::forward_plane`]) only needs the
-    /// *threshold* bit of each SWAR lane, the stochastic datapath needs
-    /// the full per-tile sums (they set the gray-zone flip probability),
-    /// so the same `lane_counts_w` reduction is read out lane-by-lane
-    /// instead of being bias-compared.
+    /// This is the counting stage of the stochastic engine's per-row path
+    /// (linear stages; conv stages count whole blocks of output pixels
+    /// with the cell-major `matches_block`): where the digital vote kernel
+    /// ([`Self::forward_plane`]) only needs the *threshold* bit of each
+    /// SWAR lane, the stochastic datapath needs the full per-tile sums
+    /// (they set the gray-zone flip probability), so the same
+    /// `lane_counts_w` reduction is read out lane-by-lane instead of being
+    /// bias-compared.
     ///
     /// # Panics
     /// Panics if `out.len() != out() · row_tiles()` or the activation
@@ -570,6 +572,49 @@ impl PackedTiledMatrix {
             }
             for (r, slot) in dst.iter_mut().enumerate().skip(tail) {
                 *slot = self.spans[r].matches(row, acts) as u32;
+            }
+        }
+    }
+
+    /// [`Self::matches_into`] over a block of `pixels` activation rows at
+    /// once, in cell-major layout: `acts` holds the rows transposed
+    /// word-major (`acts[w·pixels + p]` is word `w` of row `p`), and
+    /// `out[(channel·k + r)·pixels + p]` receives row `p`'s match count of
+    /// tile `r` of `channel` — the layout the stochastic engine's conv
+    /// phases stream through, one contiguous run of pixels per cell.
+    ///
+    /// Each cell sums `(!(w ^ a) & mask).count_ones()` over the words of
+    /// its [`TileSpan`], whose boundary masks already cover ragged and
+    /// misaligned tiles, so the kernel needs no SWAR tables; the inner
+    /// loop over pixels is elementwise and vectorizes.
+    ///
+    /// # Panics
+    /// Panics if `pixels == 0`, `out.len() != out() · row_tiles() · pixels`
+    /// or `acts` is shorter than the rows' words.
+    pub(crate) fn matches_block(&self, acts: &[u64], pixels: usize, out: &mut [u32]) {
+        assert!(pixels > 0, "a block holds at least one row");
+        assert_eq!(
+            out.len(),
+            self.out * self.spans.len() * pixels,
+            "match buffer shape mismatch"
+        );
+        assert!(
+            acts.len() >= self.weights.words_per_row() * pixels,
+            "activation block shorter than the weight rows"
+        );
+        let mut cells = out.chunks_exact_mut(pixels);
+        for channel in 0..self.out {
+            let row = self.weights.row_words(channel);
+            for (sp, dst) in self.spans.iter().zip(cells.by_ref()) {
+                dst.fill(0);
+                for (w, &rw) in row.iter().enumerate().take(sp.last + 1).skip(sp.first) {
+                    let lo = if w == sp.first { sp.lo } else { u64::MAX };
+                    let mask = lo & if w == sp.last { sp.hi } else { u64::MAX };
+                    let col = &acts[w * pixels..][..pixels];
+                    for (d, &a) in dst.iter_mut().zip(col) {
+                        *d += (!(rw ^ a) & mask).count_ones();
+                    }
+                }
             }
         }
     }
@@ -1629,6 +1674,55 @@ mod tests {
                 deployed.classify_digital(&data.images, i),
                 "sample {i}"
             );
+        }
+    }
+
+    /// The cell-major block kernel against `matches_into`, row by row:
+    /// tiles that are not lane-aligned (5, 12 and 40 rows, each with a
+    /// tile crossing a word boundary) beside SWAR-aligned 32-row tiles, a
+    /// fan-in that is not a multiple of 64, stuck cells baked into the
+    /// weight planes, and blocks of 1, 9 and 64 rows.
+    #[test]
+    fn block_matches_equal_per_row_matches() {
+        use aqfp_device::{DeviceRng, SeedableRng};
+        let (fan_in, out) = (150usize, 7);
+        let words = fan_in.div_ceil(64);
+        let mut rng = DeviceRng::seed_from_u64(17);
+        for rows in [5, 12, 32, 40] {
+            let signs = pseudo_signs(fan_in * out, rows);
+            let (vth, flips) = (vec![0.0; out], vec![false; out]);
+            let mut m = TiledMatrix::new(&signs, fan_in, out, vth, flips, &hw(rows, 4));
+            m.inject_faults(&FaultModel::new(0.2, 0.1).unwrap(), &mut rng);
+            let packed = PackedTiledMatrix::from_tiled(&m);
+            let cells = out * packed.row_tiles();
+            for pixels in [1, 9, 64] {
+                let planes: Vec<BitPlane> = (0..pixels)
+                    .map(|_| {
+                        let bits: Vec<Bit> =
+                            (0..fan_in).map(|_| Bit::from_bool(rng.gen())).collect();
+                        BitPlane::from_bits(&bits)
+                    })
+                    .collect();
+                let mut acts = vec![0u64; words * pixels];
+                for (p, plane) in planes.iter().enumerate() {
+                    for (w, &word) in plane.words().iter().enumerate() {
+                        acts[w * pixels + p] = word;
+                    }
+                }
+                let mut block = vec![u32::MAX; cells * pixels];
+                packed.matches_block(&acts, pixels, &mut block);
+                let mut row = vec![0u32; cells];
+                for (p, plane) in planes.iter().enumerate() {
+                    packed.matches_into(plane.words(), &mut row);
+                    for (cell, &x) in row.iter().enumerate() {
+                        assert_eq!(
+                            block[cell * pixels + p],
+                            x,
+                            "rows {rows}, block {pixels}, row {p}, cell {cell}"
+                        );
+                    }
+                }
+            }
         }
     }
 

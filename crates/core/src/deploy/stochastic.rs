@@ -10,10 +10,13 @@
 //! Monte Carlo scale. This module is the word-parallel twin on the
 //! [`PackedLayer`] pipeline IR, built from three pieces:
 //!
-//! 1. **Packed tile sums** — per-tile XNOR match counts come from the same
-//!    SWAR `lane_counts_w` reduction and masked-popcount spans the digital
-//!    engine votes with ([`PackedTiledMatrix::matches_into`]), instead of
-//!    per-element multiply loops.
+//! 1. **Packed tile sums** — per-tile XNOR match counts are masked
+//!    popcounts over the tile word spans the digital engine votes with,
+//!    instead of per-element multiply loops. A conv stage counts them for
+//!    a whole block of up to 64 output pixels at once, cell-major
+//!    (`PackedTiledMatrix::matches_block`, one vectorized pass over the
+//!    block's transposed im2col rows per cell); linear stages count one
+//!    row with the SWAR readout of [`PackedTiledMatrix::matches_into`].
 //! 2. **Flip-probability tables** — every `(tile, column)` cell's
 //!    gray-zone law is evaluated **once per operating condition** over all
 //!    integer sums it can produce, quantized into byte-lane draw
@@ -25,10 +28,14 @@
 //! 3. **Counter-keyed Bernoulli windows** — each cell's `L`-cycle
 //!    observation window is drawn from a keyed counter stream
 //!    ([`aqfp_sc::CounterStream`]). The exact counter consumes only each
-//!    window's '1' count, so every cell of a matrix — live, saturated or
-//!    dead — is counted straight out of the generator in one call
-//!    ([`aqfp_sc::CounterStream::window_counts`]); the approximate
-//!    counter materializes the windows and walks them cycle by cycle.
+//!    window's '1' count, so every cell — live, saturated or dead — is
+//!    counted straight out of the generator: a conv stage counts one
+//!    cell's window across a block's pixel streams eight at a time
+//!    ([`aqfp_sc::CounterStream::window_counts_across`]), a linear stage
+//!    all cells of its one stream
+//!    ([`aqfp_sc::CounterStream::window_counts`]). The approximate
+//!    counter materializes each pixel's windows and walks them cycle by
+//!    cycle.
 //!
 //! # One sampler, shared with the scalar reference
 //!
@@ -52,15 +59,22 @@
 //! [`aqfp_sc::CounterStream::bernoulli_word`]). Probabilities quantize to
 //! 1/256 — at SC window lengths (`L = 16`) that quantization is far
 //! inside the sampling noise, and the payoff is an 8× draw-rate win plus
-//! a branch-free SWAR byte-compare counter. A whole batch of windows
-//! lives on one flat decision tape (window `i` starts at draw-aligned bit
+//! a branch-free SWAR byte-compare counter. A pixel's windows live on one
+//! flat decision tape (window `i` starts at draw-aligned bit
 //! `i · ⌈L/8⌉·8`), and the byte-lane threshold `t8 ∈ 0..=256` decides
 //! saturated cells exactly (`0` counts no '1', `256` counts `L`), so the
-//! exact-counter path needs no screening: it gathers every cell's `t8`
-//! from [`MatrixStochasticTables`], pins dead columns to their stuck
-//! constant (`0` or `256`) with a select, and counts all cells in one
-//! vectorized sweep: drawing a saturated cell costs a few lanes of a
-//! vector mix, less than a per-cell screen that skips it would.
+//! exact-counter path needs no screening. A conv stage runs it phase by
+//! phase over blocks of up to 64 output pixels in `[cell][pixel]` layout:
+//! match counts for the whole block, then each cell's `t8` gathered from
+//! its sub-table of [`MatrixStochasticTables`] for every pixel (a dead
+//! column fills its stuck constant, `0` or `256`), then each cell's window
+//! counted across the pixel streams, and last each channel's `k` tile
+//! counts summed per pixel and voted straight into the channel's output
+//! word. Drawing a saturated cell costs a few lanes of a vector mix, less
+//! than a per-cell screen that skips it would. Linear stages have one
+//! row, so they run the same phases over that row's cells and count them
+//! on its one stream in blocks of eight cells: a one-pixel block would
+//! count every window on its own.
 //!
 //! In the gray-zone → 0 limit (`VariationModel` width scale 0) every
 //! table entry saturates and the engine degenerates to the digital
@@ -167,17 +181,93 @@ impl MatrixStochasticTables {
     }
 }
 
-/// Reusable per-evaluation buffers of the stochastic engine (tile match
-/// counts, per-cell lane thresholds and window counts, packed observation
-/// streams, the APC's cycle word).
+/// Reusable per-evaluation buffers of the stochastic engine: match
+/// counts, lane thresholds and window counts (one row's cells on the
+/// per-row path, `[cell][pixel]` over a block of output pixels on the
+/// conv path), the conv block's transposed im2col rows, pixel streams and
+/// one pixel's thresholds, and the approximate counter's walk.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     matches: Vec<u32>,
     t8: Vec<u16>,
     counts: Vec<u32>,
+    acts: Vec<u64>,
+    pixels: Vec<CounterStream>,
+    pixel_t8: Vec<u16>,
+    apc: ApproxWalk,
+}
+
+/// Output pixels per block of the conv path: one output word per
+/// channel, and the bound on the block buffers whatever the image size.
+const BLOCK: usize = 64;
+
+/// Gathers the lane threshold of every `(cell, row)` match count: cell
+/// `i = channel·k + tile` owns the run `matches[i·run..][..run]` (one row
+/// per output pixel of a conv block, a single row on the per-row path)
+/// and reads its own sub-table; a dead column (1 stuck '0', 2 stuck '1')
+/// fills its run with the stuck constant instead.
+fn gather_t8(
+    m: &PackedTiledMatrix,
+    tables: &MatrixStochasticTables,
+    matches: &[u32],
+    run: usize,
+    t8: &mut [u16],
+) {
+    let cells = (matches.chunks_exact(run).zip(t8.chunks_exact_mut(run)))
+        .zip(tables.offs.iter().zip(m.dead_cells()));
+    for ((matches, t8), (&off, &d)) in cells {
+        if d == 0 {
+            let table = &tables.t8[off..];
+            for (t, &x) in t8.iter_mut().zip(matches) {
+                *t = table[x as usize];
+            }
+        } else {
+            t8.fill(u16::from(d - 1) << 8);
+        }
+    }
+}
+
+/// The approximate APC's walk over one evaluation's windows: its counting
+/// error depends on the bit pattern *across* tiles per cycle, so every
+/// window is materialized, the packed streams are transposed back into
+/// cycle words and the scalar count is mirrored.
+#[derive(Debug, Default)]
+struct ApproxWalk {
     streams: Vec<u64>,
     word: Vec<Bit>,
-    cur: Vec<u64>,
+}
+
+impl ApproxWalk {
+    /// Reports each channel's output bit through `sink`, drawing cell
+    /// `i`'s window from `stream` at tape position `i · window_stride(L)`
+    /// against `t8[i]` (cells in `channel·k + tile` order).
+    fn votes(
+        &mut self,
+        m: &PackedTiledMatrix,
+        t8: &[u16],
+        stream: &CounterStream,
+        mut sink: impl FnMut(usize, bool),
+    ) {
+        let k = m.row_tiles();
+        let window = m.window();
+        let half = (k * window) as u64; // doubled threshold, like the scalar module
+        let stream_words = window.div_ceil(64);
+        self.streams.resize(t8.len() * stream_words, 0);
+        stream.sample_bernoulli_windows(t8, window, &mut self.streams);
+        let apc = Apc::new(k);
+        self.word.resize(k, Bit::Zero);
+        for c in 0..m.out() {
+            let mut total = 0u64;
+            for t in 0..window {
+                for r in 0..k {
+                    let w = self.streams[(c * k + r) * stream_words + t / 64];
+                    self.word[r] = Bit::from_bool((w >> (t % 64)) & 1 == 1);
+                }
+                total += apc.count_approx(&self.word) as u64;
+            }
+            sink(c, (2 * total >= half) != m.flips()[c]);
+        }
+    }
 }
 
 /// Evaluates one packed activation word slice through the stochastic
@@ -186,11 +276,12 @@ pub(crate) struct Scratch {
 /// at window index `channel·k + tile` (see
 /// [`aqfp_sc::CounterStream::window_counts`]), so the windows are pure
 /// functions of their coordinates — no draw order, no serial chain. Dead
-/// columns pin their lane threshold to the stuck constant.
+/// columns pin their lane threshold to the stuck constant. The per-row
+/// path of linear stages and [`PackedTiledMatrix::forward_stochastic_ctr`].
 ///
 /// Callers must have validated `tables` against `m` with
-/// [`MatrixStochasticTables::check`] — hoisted out of this (per-pixel)
-/// hot path to the per-stage entry points.
+/// [`MatrixStochasticTables::check`] — hoisted out of this hot path to
+/// the per-stage entry points.
 fn eval_channels_ctr(
     m: &PackedTiledMatrix,
     tables: &MatrixStochasticTables,
@@ -199,55 +290,27 @@ fn eval_channels_ctr(
     scratch: &mut Scratch,
     mut sink: impl FnMut(usize, bool),
 ) {
-    let k = m.row_tiles();
-    let out = m.out();
-    let window = m.window();
-
-    scratch.matches.resize(out * k, 0);
+    let cells = m.out() * m.row_tiles();
+    scratch.matches.resize(cells, 0);
     m.matches_into(acts, &mut scratch.matches);
-
     // Window `i` of the batch IS cell `i = channel·k + tile`, so its lane
-    // threshold is gathered in natural cell order. A dead column (1 stuck
-    // '0', 2 stuck '1') pins its window by a select, not a branch.
-    scratch.t8.resize(out * k, 0);
-    let cells = scratch.t8.iter_mut().zip(&tables.offs);
-    for ((t8, &off), (&matches, &d)) in cells.zip(scratch.matches.iter().zip(m.dead_cells())) {
-        let live = tables.t8[off + matches as usize];
-        *t8 = if d == 0 { live } else { u16::from(d - 1) << 8 };
-    }
+    // threshold is gathered in natural cell order.
+    scratch.t8.resize(cells, 0);
+    gather_t8(m, tables, &scratch.matches, 1, &mut scratch.t8);
 
-    let half = (k * window) as u64; // doubled threshold, like the scalar module
-    if matches!(m.counter(), CounterKind::Exact) {
-        // The exact APC only consumes each window's popcount: count every
-        // cell straight out of the generator, then sum and vote per
-        // channel.
-        scratch.counts.resize(out * k, 0);
-        stream.window_counts(&scratch.t8, window, &mut scratch.counts);
-        for (c, (counts, &flip)) in scratch.counts.chunks_exact(k).zip(m.flips()).enumerate() {
-            let total: u64 = counts.iter().map(|&x| u64::from(x)).sum();
-            sink(c, (2 * total >= half) != flip);
-        }
+    if matches!(m.counter(), CounterKind::Approximate) {
+        scratch.apc.votes(m, &scratch.t8, stream, sink);
         return;
     }
-
-    // Approximate APC: its counting error depends on the bit pattern
-    // *across* tiles per cycle, so materialize every window, transpose the
-    // packed streams back into cycle words and mirror the scalar count.
-    let stream_words = window.div_ceil(64);
-    scratch.streams.resize(out * k * stream_words, 0);
-    stream.sample_bernoulli_windows(&scratch.t8, window, &mut scratch.streams);
-    let apc = Apc::new(k);
-    scratch.word.resize(k, Bit::Zero);
-    for c in 0..out {
-        let mut total = 0u64;
-        for t in 0..window {
-            for r in 0..k {
-                let w = scratch.streams[(c * k + r) * stream_words + t / 64];
-                scratch.word[r] = Bit::from_bool((w >> (t % 64)) & 1 == 1);
-            }
-            total += apc.count_approx(&scratch.word) as u64;
-        }
-        sink(c, (2 * total >= half) != m.flips()[c]);
+    // The exact APC only consumes each window's popcount: count every
+    // cell straight out of the generator, then sum and vote per channel.
+    let k = m.row_tiles();
+    let half = (k * m.window()) as u64; // doubled threshold, like the scalar module
+    scratch.counts.resize(cells, 0);
+    stream.window_counts(&scratch.t8, m.window(), &mut scratch.counts);
+    for (c, (counts, &flip)) in scratch.counts.chunks_exact(k).zip(m.flips()).enumerate() {
+        let total: u64 = counts.iter().map(|&x| u64::from(x)).sum();
+        sink(c, (2 * total >= half) != flip);
     }
 }
 
@@ -305,11 +368,27 @@ pub struct StochasticTables {
     stages: Vec<Option<MatrixStochasticTables>>,
 }
 
-/// Runs one conv stage stochastically: the word-level im2col gather of
-/// the digital path, then each output pixel (row-major) draws from its
-/// own child stream (`stage_stream.derive(pixel)`), so the stage's flips
-/// are pure functions of their coordinates. Output bits are assembled as
-/// whole words.
+/// Runs one conv stage stochastically, phase by phase over blocks of up
+/// to [`BLOCK`] output pixels (row-major; one output word per channel per
+/// block). Output pixel `a` draws from its own child stream
+/// (`stage_stream.derive(a)`) and cell `channel·k + tile` reads its
+/// window at tape position `cell · window_stride(L)` of it, exactly the
+/// per-row coordinates, so the stage's flips are pure functions of their
+/// coordinates. Per block:
+///
+/// 1. the block's im2col rows are transposed word-major;
+/// 2. every cell's match counts over the block's pixels come from one
+///    cell-major pass ([`PackedTiledMatrix::matches_block`]);
+/// 3. each cell gathers its lane thresholds from its sub-table for all
+///    pixels at once (dead cells fill their stuck constant);
+/// 4. the exact counter counts each cell's window across the pixel
+///    streams in blocks of eight
+///    ([`CounterStream::window_counts_across`]), and
+/// 5. sums each channel's `k` tile rows per pixel, votes and writes the
+///    channel's output word directly.
+///
+/// The approximate counter shares phases 1–3, then draws and walks each
+/// pixel's windows ([`ApproxWalk`]).
 fn conv_forward_stochastic_ctr(
     stage: &PackedConvStage,
     tables: &MatrixStochasticTables,
@@ -328,29 +407,71 @@ fn conv_forward_stochastic_ctr(
     let n = fields.rows();
     let fw = fields.words_per_row();
     let storage = fields.storage();
+    let tiles = m.row_tiles();
+    let cells = m.out() * tiles;
+    let window = m.window();
+    let half = (tiles * window) as u64; // doubled threshold, like the scalar module
     let mut out = PackedMatrix::zeros(m.out(), n);
-    scratch.cur.clear();
-    scratch.cur.resize(m.out(), 0);
-    let mut cur = std::mem::take(&mut scratch.cur);
-    for a in 0..n {
-        let acts = &storage[a * fw..(a + 1) * fw];
-        let pixel = stage_stream.derive(a as u64);
-        eval_channels_ctr(m, tables, acts, &pixel, scratch, |ch, bit| {
-            cur[ch] |= (bit as u64) << (a % 64);
-        });
-        if a % 64 == 63 {
-            for (ch, word) in cur.iter_mut().enumerate() {
-                out.row_words_mut(ch)[a / 64] = *word;
-                *word = 0;
+    for blk in 0..n.div_ceil(BLOCK) {
+        let base = blk * BLOCK;
+        let bn = (n - base).min(BLOCK);
+        let rows = &storage[base * fw..(base + bn) * fw];
+        scratch.acts.resize(fw * bn, 0);
+        for (p, row) in rows.chunks_exact(fw).enumerate() {
+            for (wi, &word) in row.iter().enumerate() {
+                scratch.acts[wi * bn + p] = word;
             }
         }
-    }
-    if !n.is_multiple_of(64) {
-        for (ch, word) in cur.iter_mut().enumerate() {
-            out.row_words_mut(ch)[n / 64] = *word;
+        scratch.matches.resize(cells * bn, 0);
+        m.matches_block(&scratch.acts, bn, &mut scratch.matches);
+        scratch.t8.resize(cells * bn, 0);
+        gather_t8(m, tables, &scratch.matches, bn, &mut scratch.t8);
+        scratch.pixels.clear();
+        scratch
+            .pixels
+            .extend((base..base + bn).map(|a| stage_stream.derive(a as u64)));
+
+        if matches!(m.counter(), CounterKind::Approximate) {
+            for (p, pixel) in scratch.pixels.iter().enumerate() {
+                scratch.pixel_t8.clear();
+                scratch
+                    .pixel_t8
+                    .extend(scratch.t8.iter().skip(p).step_by(bn));
+                scratch.apc.votes(m, &scratch.pixel_t8, pixel, |ch, bit| {
+                    out.row_words_mut(ch)[blk] |= u64::from(bit) << p;
+                });
+            }
+            continue;
+        }
+
+        scratch.counts.resize(cells * bn, 0);
+        let cell_runs = scratch
+            .t8
+            .chunks_exact(bn)
+            .zip(scratch.counts.chunks_exact_mut(bn));
+        for (cell, (t8, counts)) in cell_runs.enumerate() {
+            CounterStream::window_counts_across(&scratch.pixels, cell, t8, window, counts);
+        }
+        let valid = u64::MAX >> (BLOCK - bn);
+        for (ch, (counts, &flip)) in scratch
+            .counts
+            .chunks_exact(tiles * bn)
+            .zip(m.flips())
+            .enumerate()
+        {
+            let mut totals = [0u64; BLOCK];
+            for run in counts.chunks_exact(bn) {
+                for (t, &x) in totals.iter_mut().zip(run) {
+                    *t += u64::from(x);
+                }
+            }
+            let mut word = 0u64;
+            for (p, &t) in totals[..bn].iter().enumerate() {
+                word |= u64::from(2 * t >= half) << p;
+            }
+            out.row_words_mut(ch)[blk] = if flip { word ^ valid } else { word };
         }
     }
-    scratch.cur = cur;
     (out.concat_rows(), out_shape)
 }
 

@@ -716,17 +716,29 @@ proptest! {
 
     /// Model level, conv pipeline (conv → pool → flatten → classifier):
     /// both engines key output pixels on the same stage streams, so
-    /// heterogeneous pipelines stay flip-for-flip identical too.
+    /// heterogeneous pipelines stay flip-for-flip identical too — over
+    /// ragged and whole-draw windows (L = 16, 24, 32), misaligned and
+    /// word-crossing crossbar tiles (5, 12 and 40 rows beside 8), output
+    /// maps past one 64-pixel block with a partial 8-pixel tail (9×9 at
+    /// pad 1: 81 pixels), both counter kinds, and the same stuck cells and
+    /// dead columns drawn into both engines from one seed.
     #[test]
     fn packed_stochastic_conv_model_matches_scalar_classify(
         out_c in 1usize..5,
         k in 1usize..4,
         pad in 0usize..2,
         pool in prop::bool::ANY,
-        window in 1usize..10,
+        big in prop::bool::ANY,
+        window_pick in 0usize..12,
+        rows_pick in 0usize..4,
+        faults in 0u8..3,
+        approx in prop::bool::ANY,
         seed in 0u64..200,
     ) {
-        let (c, h, w) = (2usize, 6usize, 6usize);
+        use aqfp_device::{DeviceRng, SeedableRng};
+        use aqfp_sc::accumulate::CounterKind;
+        let (c, h, w) = if big { (2usize, 9usize, 9usize) } else { (2, 6, 6) };
+        let window = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 32][window_pick];
         prop_assume!(h + 2 * pad >= k);
         let s = (h + 2 * pad - k) + 1;
         let pool = pool && s % 2 == 0;
@@ -741,15 +753,22 @@ proptest! {
             ],
         };
         let hw = HardwareConfig {
-            crossbar_rows: 8,
+            crossbar_rows: [5, 8, 12, 40][rows_pick],
             crossbar_cols: 8,
             bitstream_len: window,
             grayzone_ua: 6.0,
+            counter: if approx { CounterKind::Approximate } else { CounterKind::Exact },
             ..Default::default()
         };
         let model = spec.build_software(&hw, seed);
-        let deployed = deploy(&spec, &model, &hw).unwrap();
-        let packed = deployed.to_packed();
+        let fm = FaultModel::new(0.15 * faults as f64, 0.1 * faults as f64).unwrap();
+        let mut deployed = deploy(&spec, &model, &hw).unwrap();
+        let defects = deployed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(seed ^ 0xFA17));
+        let mut packed = deploy(&spec, &model, &hw).unwrap().to_packed();
+        prop_assert_eq!(
+            packed.inject_faults(&fm, &mut DeviceRng::seed_from_u64(seed ^ 0xFA17)),
+            defects
+        );
         let tables = packed.stochastic_tables(&aqfp_device::VariationModel::nominal());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
         let images = bnn_nn::Tensor::from_vec(
